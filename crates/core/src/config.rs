@@ -317,6 +317,20 @@ impl ExperimentConfig {
         self.cut_index.unwrap_or_else(|| self.model.default_cut())
     }
 
+    /// The run's per-round planner: the orchestrator, or — under the
+    /// static orchestrator — the cut policy's planner, which searches
+    /// the cut-only arm space (see [`crate::orchestrator`]).
+    /// [`OrchestratorSpec::Static`] means every round runs the
+    /// configured cut and codec.
+    pub(crate) fn planner(&self) -> OrchestratorSpec {
+        match self.cut_policy {
+            _ if !self.orchestrator.is_static() => self.orchestrator,
+            CutPolicySpec::Fixed => OrchestratorSpec::Static,
+            CutPolicySpec::Greedy => OrchestratorSpec::Greedy,
+            CutPolicySpec::Bandit { epsilon } => OrchestratorSpec::Bandit { epsilon },
+        }
+    }
+
     /// Builds the wireless environment for this experiment: the base
     /// latency model wrapped by whatever [`Scenario`] the config names.
     ///
@@ -377,40 +391,26 @@ impl ExperimentConfig {
         if self.learning_rate.is_nan() || self.learning_rate <= 0.0 {
             return Err(CoreError::Config("learning_rate must be > 0".into()));
         }
-        if !self.cut_policy.is_fixed() && self.momentum != 0.0 {
+        if !self.cut_policy.is_fixed() && !self.orchestrator.is_static() {
             return Err(CoreError::Config(
-                "adaptive cut policies require momentum == 0 (optimizer \
-                 velocity cannot be remapped across cuts)"
+                "orchestrators own the per-round cut decision; use the \
+                 Fixed cut policy with a non-static orchestrator"
                     .into(),
             ));
         }
-        if let CutPolicySpec::Bandit { epsilon } = self.cut_policy {
+        let planner = self.planner();
+        if !planner.is_static() && self.momentum != 0.0 {
+            return Err(CoreError::Config(
+                "adaptive cut policies and orchestrators require \
+                 momentum == 0 (optimizer velocity cannot be remapped \
+                 across cuts)"
+                    .into(),
+            ));
+        }
+        if let OrchestratorSpec::Bandit { epsilon } = planner {
             if !(0.0..=1.0).contains(&epsilon) || epsilon.is_nan() {
                 return Err(CoreError::Config(format!(
                     "bandit epsilon must be in [0,1], got {epsilon}"
-                )));
-            }
-        }
-        if !self.orchestrator.is_static() {
-            if self.momentum != 0.0 {
-                return Err(CoreError::Config(
-                    "orchestrators require momentum == 0 (optimizer \
-                     velocity cannot be remapped across cuts)"
-                        .into(),
-                ));
-            }
-            if !self.cut_policy.is_fixed() {
-                return Err(CoreError::Config(
-                    "orchestrators own the per-round cut decision; use the \
-                     Fixed cut policy with a non-static orchestrator"
-                        .into(),
-                ));
-            }
-        }
-        if let OrchestratorSpec::Bandit { epsilon } = self.orchestrator {
-            if !(0.0..=1.0).contains(&epsilon) || epsilon.is_nan() {
-                return Err(CoreError::Config(format!(
-                    "orchestrator bandit epsilon must be in [0,1], got {epsilon}"
                 )));
             }
         }
@@ -515,7 +515,8 @@ impl ExperimentConfigBuilder {
     }
 
     /// Sets the per-round cut-selection policy (see
-    /// [`crate::cut::CutPolicySpec`]).
+    /// [`crate::cut::CutPolicySpec`]): a non-fixed policy runs the
+    /// planner over its cut-only arm space.
     pub fn cut_policy(mut self, p: CutPolicySpec) -> Self {
         self.config.cut_policy = p;
         self

@@ -1,265 +1,19 @@
-//! Adaptive cut-layer selection.
+//! Adaptive cut-layer selection, as named in experiment configs.
 //!
 //! The paper fixes the split point once per experiment; the follow-up
-//! literature (Accelerating-SFL, ASFL) picks it from observed channel and
-//! compute conditions, because the latency-optimal cut moves when
-//! bandwidth collapses, interference rises or stragglers appear. This
-//! module closes that loop:
+//! literature (Accelerating-SFL, ASFL) picks it every round from the
+//! observed channel and compute conditions, because the latency-optimal
+//! cut moves when bandwidth collapses, interference rises or stragglers
+//! appear. The per-round decision itself is made by the planner in
+//! [`crate::orchestrator`]: a non-fixed [`CutPolicySpec`] selects the
+//! planner's *cut-only* arm space — the candidate cuts at the configured
+//! codec and the channel mode's default bandwidth split.
 //!
-//! * [`CutPolicy`] — the per-round decision trait the split schemes
-//!   consult. Policies see a [`CutQuery`]: the round's
-//!   [`RoundConditions`] snapshot, the candidate cut indices, and the
-//!   pre-computed [`SplitCosts`] profile of every candidate.
-//! * [`FixedCut`] — the baseline: always the configured cut. Runs are
-//!   byte-identical to the pre-policy code.
-//! * [`GreedyLatency`] — estimates the round's straggler-bound latency
-//!   for every candidate from the live conditions and picks the argmin.
-//! * [`BanditCut`] — ε-greedy over realized round latencies fed back via
-//!   [`CutPolicy::observe`]; learns the environment instead of trusting
-//!   the estimator, at the price of exploration rounds.
-//!
-//! Policies are named in configs by [`CutPolicySpec`] (serde). Adaptive
-//! policies require `momentum == 0` — optimizer velocity is not
+//! Adaptive policies require `momentum == 0` — optimizer velocity is not
 //! remappable across cuts, and the config validation rejects the
 //! combination rather than silently resetting state.
 
-use crate::latency::SplitCosts;
-use gsfl_tensor::rng::SeedDerive;
-use gsfl_wireless::environment::{ChannelModel, RoundConditions};
-use rand::Rng;
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
-use std::sync::Mutex;
-
-/// Everything a [`CutPolicy`] may look at when choosing a round's cut.
-pub struct CutQuery<'a> {
-    /// The round being decided (0-based environment round).
-    pub round: u64,
-    /// The configured (fixed) cut — the fallback on estimator failure.
-    pub default_cut: usize,
-    /// Valid candidate cut indices, ascending.
-    pub candidates: &'a [usize],
-    /// Per-candidate cost profiles.
-    pub costs: &'a BTreeMap<usize, SplitCosts>,
-    /// The environment snapshot for the round.
-    pub conditions: &'a RoundConditions,
-    /// The environment itself, for per-client latency queries.
-    pub env: &'a dyn ChannelModel,
-    /// Per-client step counts (index = client id).
-    pub steps: &'a [usize],
-}
-
-/// Chooses the cut layer each round (optionally per client).
-///
-/// Implementations must be `Send + Sync` — contexts are shared across
-/// scheme threads — and deterministic given their construction seed and
-/// the observation sequence.
-pub trait CutPolicy: std::fmt::Debug + Send + Sync {
-    /// The cut every client uses in `q.round`. Must return one of
-    /// `q.candidates`.
-    fn choose(&self, q: &CutQuery<'_>) -> usize;
-
-    /// Optional per-client refinement; defaults to the round-level cut.
-    fn choose_for(&self, client: usize, q: &CutQuery<'_>) -> usize {
-        let _ = client;
-        self.choose(q)
-    }
-
-    /// Realized-latency feedback after the round ran at `cut`.
-    fn observe(&self, round: u64, cut: usize, latency_s: f64) {
-        let _ = (round, cut, latency_s);
-    }
-}
-
-/// Always the configured cut — the paper's behavior.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct FixedCut;
-
-impl CutPolicy for FixedCut {
-    fn choose(&self, q: &CutQuery<'_>) -> usize {
-        q.default_cut
-    }
-}
-
-/// Picks the candidate minimizing an estimate of the round's
-/// straggler-bound latency under the live conditions: per participating
-/// client, model download + `steps ×` (client forward, smashed uplink,
-/// server pass, gradient downlink, client backward) at the round's
-/// dedicated bandwidth share, maximized over clients. Ignores server
-/// slot contention and group structure — it is an *estimator*, and a
-/// deliberately cheap one; [`BanditCut`] learns what it misses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct GreedyLatency;
-
-impl GreedyLatency {
-    fn estimate(q: &CutQuery<'_>, cut: usize) -> Option<f64> {
-        let costs = q.costs.get(&cut)?;
-        let share = q.conditions.dedicated_share();
-        let mut worst = 0.0f64;
-        for cond in &q.conditions.clients {
-            let c = cond.client;
-            if !cond.available || q.steps.get(c).copied().unwrap_or(0) == 0 {
-                continue;
-            }
-            let steps = q.steps[c] as f64;
-            // Estimates charge the encoded wire sizes — what actually
-            // occupies the air under the configured compression (model
-            // downlinks are fp32, matching the round calculators).
-            let dl_model = q
-                .env
-                .downlink_time(c, costs.client_model_bytes, q.round, share)
-                .ok()?;
-            let fwd = q
-                .env
-                .client_compute(c, costs.client_fwd_flops, q.round)
-                .ok()?;
-            let ul = q
-                .env
-                .uplink_time(c, costs.smashed_wire_bytes, q.round, share)
-                .ok()?;
-            let ap = q.env.ap_of(c, q.round).ok()?;
-            let srv = q.env.server_compute_at(ap, costs.server_flops);
-            let dl = q
-                .env
-                .downlink_time(c, costs.grad_wire_bytes, q.round, share)
-                .ok()?;
-            let bwd = q
-                .env
-                .client_compute(c, costs.client_bwd_flops, q.round)
-                .ok()?;
-            let per_step = (fwd + ul + srv + dl + bwd).as_secs_f64();
-            worst = worst.max(dl_model.as_secs_f64() + steps * per_step);
-        }
-        Some(worst)
-    }
-
-    /// The same chain estimate for one client only — drives the
-    /// per-client [`CutPolicy::choose_for`] refinement.
-    fn estimate_for(q: &CutQuery<'_>, cut: usize, client: usize) -> Option<f64> {
-        let costs = q.costs.get(&cut)?;
-        let share = q.conditions.dedicated_share();
-        let steps = q.steps.get(client).copied().unwrap_or(0);
-        if steps == 0 {
-            return Some(0.0);
-        }
-        let dl_model = q
-            .env
-            .downlink_time(client, costs.client_model_bytes, q.round, share)
-            .ok()?;
-        let fwd = q
-            .env
-            .client_compute(client, costs.client_fwd_flops, q.round)
-            .ok()?;
-        let ul = q
-            .env
-            .uplink_time(client, costs.smashed_wire_bytes, q.round, share)
-            .ok()?;
-        let ap = q.env.ap_of(client, q.round).ok()?;
-        let srv = q.env.server_compute_at(ap, costs.server_flops);
-        let dl = q
-            .env
-            .downlink_time(client, costs.grad_wire_bytes, q.round, share)
-            .ok()?;
-        let bwd = q
-            .env
-            .client_compute(client, costs.client_bwd_flops, q.round)
-            .ok()?;
-        let per_step = (fwd + ul + srv + dl + bwd).as_secs_f64();
-        Some(dl_model.as_secs_f64() + steps as f64 * per_step)
-    }
-}
-
-impl CutPolicy for GreedyLatency {
-    fn choose(&self, q: &CutQuery<'_>) -> usize {
-        let mut best = q.default_cut;
-        let mut best_est = f64::INFINITY;
-        for &cut in q.candidates {
-            let Some(est) = GreedyLatency::estimate(q, cut) else {
-                continue;
-            };
-            if est < best_est {
-                best = cut;
-                best_est = est;
-            }
-        }
-        best
-    }
-
-    /// Per-client argmin of the single-client chain estimate — schemes
-    /// whose server side is per-client (SplitFed) can train each client
-    /// at its own latency-optimal cut.
-    fn choose_for(&self, client: usize, q: &CutQuery<'_>) -> usize {
-        let mut best = self.choose(q);
-        let mut best_est = f64::INFINITY;
-        for &cut in q.candidates {
-            let Some(est) = GreedyLatency::estimate_for(q, cut, client) else {
-                continue;
-            };
-            if est < best_est {
-                best = cut;
-                best_est = est;
-            }
-        }
-        best
-    }
-}
-
-/// ε-greedy bandit over realized round latencies: explore a uniform
-/// random candidate with probability ε (deterministic per round given
-/// the seed), otherwise exploit the lowest observed mean latency.
-/// Candidates never tried are explored first, in ascending order.
-#[derive(Debug)]
-pub struct BanditCut {
-    epsilon: f64,
-    seeds: SeedDerive,
-    /// cut → (observations, mean latency).
-    arms: Mutex<BTreeMap<usize, (u64, f64)>>,
-}
-
-impl BanditCut {
-    /// A fresh bandit; `epsilon` is the exploration probability and
-    /// `seed` makes the exploration schedule reproducible.
-    pub fn new(epsilon: f64, seed: u64) -> Self {
-        BanditCut {
-            epsilon,
-            seeds: SeedDerive::new(seed).child("cut-bandit"),
-            arms: Mutex::new(BTreeMap::new()),
-        }
-    }
-}
-
-impl CutPolicy for BanditCut {
-    fn choose(&self, q: &CutQuery<'_>) -> usize {
-        if q.candidates.is_empty() {
-            return q.default_cut;
-        }
-        let arms = self.arms.lock().expect("bandit lock poisoned");
-        // Untried arms first.
-        if let Some(&cut) = q.candidates.iter().find(|c| !arms.contains_key(c)) {
-            return cut;
-        }
-        let mut rng = self.seeds.index(q.round).rng();
-        if rng.gen::<f64>() < self.epsilon {
-            return q.candidates[rng.gen_range(0..q.candidates.len())];
-        }
-        q.candidates
-            .iter()
-            .copied()
-            .min_by(|a, b| {
-                let ma = arms.get(a).map(|&(_, m)| m).unwrap_or(f64::INFINITY);
-                let mb = arms.get(b).map(|&(_, m)| m).unwrap_or(f64::INFINITY);
-                ma.partial_cmp(&mb).expect("latencies are finite")
-            })
-            .unwrap_or(q.default_cut)
-    }
-
-    fn observe(&self, _round: u64, cut: usize, latency_s: f64) {
-        let mut arms = self.arms.lock().expect("bandit lock poisoned");
-        let (n, mean) = arms.entry(cut).or_insert((0, 0.0));
-        *n += 1;
-        *mean += (latency_s - *mean) / *n as f64;
-    }
-}
 
 /// Serde-loadable cut-policy names for experiment configs.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize, Default)]
@@ -267,9 +21,13 @@ pub enum CutPolicySpec {
     /// The configured cut every round (the paper's behavior) — default.
     #[default]
     Fixed,
-    /// Greedy latency-estimate policy ([`GreedyLatency`]).
+    /// The greedy latency-estimate planner
+    /// ([`crate::orchestrator::GreedyJoint`]) over the cut-only arm
+    /// space: each round's argmin cut, plus every client's own-chain
+    /// argmin as its per-client cut.
     Greedy,
-    /// ε-greedy bandit over realized latencies ([`BanditCut`]).
+    /// The ε-greedy bandit over realized latencies
+    /// ([`crate::orchestrator::BanditPlan`]) over the cut-only arm space.
     Bandit {
         /// Exploration probability in `[0, 1]`.
         epsilon: f64,
@@ -280,289 +38,5 @@ impl CutPolicySpec {
     /// Whether this is the fixed (non-adaptive) policy.
     pub fn is_fixed(&self) -> bool {
         matches!(self, CutPolicySpec::Fixed)
-    }
-
-    /// Builds the policy object; `seed` drives any stochastic
-    /// exploration.
-    pub fn policy(&self, seed: u64) -> Box<dyn CutPolicy> {
-        match *self {
-            CutPolicySpec::Fixed => Box::new(FixedCut),
-            CutPolicySpec::Greedy => Box::new(GreedyLatency),
-            CutPolicySpec::Bandit { epsilon } => Box::new(BanditCut::new(epsilon, seed)),
-        }
-    }
-}
-
-/// Per-run cut-selection state: one policy instance per scheme run.
-///
-/// Built in each scheme's [`crate::scheme::Scheme::init`], **not** in
-/// the shared [`crate::context::TrainContext`] — a learning policy
-/// (the bandit) accumulates observations, and sharing that state across
-/// sessions would warm-start later runs and let concurrently running
-/// schemes (`Runner::run_many`) interleave feedback in thread-scheduling
-/// order, breaking run independence and determinism.
-#[derive(Debug)]
-pub struct CutSelector {
-    policy: Box<dyn CutPolicy>,
-    fixed: bool,
-}
-
-impl CutSelector {
-    /// A fresh selector for one scheme run, from the config's policy
-    /// spec (seeded by the experiment seed).
-    pub fn from_config(config: &crate::config::ExperimentConfig) -> Self {
-        CutSelector {
-            policy: config.cut_policy.policy(config.seed),
-            fixed: config.cut_policy.is_fixed(),
-        }
-    }
-
-    /// Resolves the cut layer for `round`, with its cost profile. The
-    /// fixed policy short-circuits to the configured cut and the
-    /// context's cached costs — byte-identical to the pre-policy
-    /// behavior; adaptive policies consult the round's conditions.
-    ///
-    /// # Errors
-    ///
-    /// Propagates environment query errors; fails if the policy returns
-    /// a cut outside the context's candidate set.
-    pub fn cut_for_round(
-        &self,
-        ctx: &crate::context::TrainContext,
-        round: u64,
-    ) -> crate::Result<(usize, SplitCosts)> {
-        if self.fixed {
-            return Ok((ctx.config.cut(), ctx.costs));
-        }
-        let conditions = ctx.env.conditions(round)?;
-        let steps = ctx.steps_per_client();
-        let q = CutQuery {
-            round,
-            default_cut: ctx.config.cut(),
-            candidates: &ctx.cut_candidates,
-            costs: &ctx.costs_by_cut,
-            conditions: &conditions,
-            env: ctx.env.as_ref(),
-            steps: &steps,
-        };
-        let cut = self.policy.choose(&q);
-        let costs = ctx.costs_by_cut.get(&cut).copied().ok_or_else(|| {
-            crate::CoreError::Config(format!(
-                "cut policy chose cut {cut}, not among candidates {:?}",
-                ctx.cut_candidates
-            ))
-        })?;
-        Ok((cut, costs))
-    }
-
-    /// Per-client cuts from the policy's [`CutPolicy::choose_for`] hook,
-    /// indexed by client id. `None` on the fixed path — every client
-    /// trains at the configured cut, byte-identical to before. Only
-    /// schemes whose server side is per-client (SplitFed) can honor
-    /// heterogeneous cuts.
-    ///
-    /// # Errors
-    ///
-    /// Propagates environment query errors; fails if the policy returns
-    /// a cut outside the context's candidate set.
-    pub fn client_cuts_for_round(
-        &self,
-        ctx: &crate::context::TrainContext,
-        round: u64,
-    ) -> crate::Result<Option<Vec<usize>>> {
-        if self.fixed {
-            return Ok(None);
-        }
-        let conditions = ctx.env.conditions(round)?;
-        let steps = ctx.steps_per_client();
-        let q = CutQuery {
-            round,
-            default_cut: ctx.config.cut(),
-            candidates: &ctx.cut_candidates,
-            costs: &ctx.costs_by_cut,
-            conditions: &conditions,
-            env: ctx.env.as_ref(),
-            steps: &steps,
-        };
-        let cuts: Vec<usize> = (0..ctx.config.clients)
-            .map(|c| self.policy.choose_for(c, &q))
-            .collect();
-        if let Some(bad) = cuts.iter().find(|c| !ctx.cut_candidates.contains(c)) {
-            return Err(crate::CoreError::Config(format!(
-                "cut policy chose per-client cut {bad}, not among candidates {:?}",
-                ctx.cut_candidates
-            )));
-        }
-        Ok(Some(cuts))
-    }
-
-    /// Feeds a round's realized latency back to the policy (no-op for
-    /// policies that do not learn).
-    pub fn observe(&self, round: u64, cut: usize, latency_s: f64) {
-        self.policy.observe(round, cut, latency_s);
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use gsfl_nn::model::Mlp;
-    use gsfl_wireless::environment::StaticEnvironment;
-    use gsfl_wireless::latency::LatencyModel;
-
-    fn fixture() -> (StaticEnvironment, BTreeMap<usize, SplitCosts>, Vec<usize>) {
-        let env = StaticEnvironment::new(
-            LatencyModel::builder()
-                .clients(3)
-                .seed(4)
-                .fading(false)
-                .build()
-                .unwrap(),
-        );
-        let net = Mlp::new(48, &[32, 32], 5, 0).into_sequential();
-        let candidates: Vec<usize> = (1..net.depth()).collect();
-        let costs = candidates
-            .iter()
-            .map(|&cut| (cut, SplitCosts::compute(&net, cut, &[48], 8).unwrap()))
-            .collect();
-        (env, costs, candidates)
-    }
-
-    fn query<'a>(
-        env: &'a StaticEnvironment,
-        costs: &'a BTreeMap<usize, SplitCosts>,
-        candidates: &'a [usize],
-        conditions: &'a RoundConditions,
-        steps: &'a [usize],
-    ) -> CutQuery<'a> {
-        CutQuery {
-            round: conditions.round,
-            default_cut: candidates[0],
-            candidates,
-            costs,
-            conditions,
-            env,
-            steps,
-        }
-    }
-
-    #[test]
-    fn fixed_returns_default() {
-        let (env, costs, candidates) = fixture();
-        let cond = env.conditions(0).unwrap();
-        let steps = vec![2, 2, 2];
-        let q = query(&env, &costs, &candidates, &cond, &steps);
-        assert_eq!(FixedCut.choose(&q), candidates[0]);
-        assert_eq!(FixedCut.choose_for(1, &q), candidates[0]);
-    }
-
-    #[test]
-    fn greedy_picks_a_candidate_and_is_deterministic() {
-        let (env, costs, candidates) = fixture();
-        let cond = env.conditions(3).unwrap();
-        let steps = vec![2, 2, 2];
-        let q = query(&env, &costs, &candidates, &cond, &steps);
-        let a = GreedyLatency.choose(&q);
-        let b = GreedyLatency.choose(&q);
-        assert_eq!(a, b);
-        assert!(candidates.contains(&a));
-    }
-
-    #[test]
-    fn greedy_choose_for_minimizes_each_clients_chain() {
-        let (env, costs, candidates) = fixture();
-        let cond = env.conditions(1).unwrap();
-        // Client 2 trains far more than the others — its own-chain argmin
-        // is the minimum of its per-client estimate, whatever that is.
-        let steps = vec![1, 1, 9];
-        let q = query(&env, &costs, &candidates, &cond, &steps);
-        for client in 0..3 {
-            let cut = GreedyLatency.choose_for(client, &q);
-            assert!(candidates.contains(&cut));
-            let est = GreedyLatency::estimate_for(&q, cut, client).unwrap();
-            for &c in &candidates {
-                assert!(est <= GreedyLatency::estimate_for(&q, c, client).unwrap() + 1e-12);
-            }
-        }
-        // Zero-step clients cost nothing everywhere; any candidate works.
-        let steps = vec![0, 1, 1];
-        let q = query(&env, &costs, &candidates, &cond, &steps);
-        assert!(candidates.contains(&GreedyLatency.choose_for(0, &q)));
-    }
-
-    #[test]
-    fn greedy_prefers_cheaper_estimated_cut() {
-        // The greedy estimate of the chosen cut is minimal among
-        // candidates, by construction.
-        let (env, costs, candidates) = fixture();
-        let cond = env.conditions(1).unwrap();
-        let steps = vec![3, 1, 2];
-        let q = query(&env, &costs, &candidates, &cond, &steps);
-        let chosen = GreedyLatency.choose(&q);
-        let chosen_est = GreedyLatency::estimate(&q, chosen).unwrap();
-        for &cut in &candidates {
-            assert!(chosen_est <= GreedyLatency::estimate(&q, cut).unwrap() + 1e-12);
-        }
-    }
-
-    #[test]
-    fn bandit_explores_then_exploits() {
-        let (env, costs, candidates) = fixture();
-        let cond = env.conditions(0).unwrap();
-        let steps = vec![1, 1, 1];
-        let bandit = BanditCut::new(0.0, 7);
-        // First |candidates| rounds try every arm once, in order.
-        for (i, &expect) in candidates.iter().enumerate() {
-            let q = query(&env, &costs, &candidates, &cond, &steps);
-            let cut = bandit.choose(&q);
-            assert_eq!(cut, expect, "round {i}");
-            // Make arm `expect` look worse the deeper the cut.
-            bandit.observe(i as u64, cut, expect as f64);
-        }
-        // With ε = 0 the bandit now exploits the best-observed arm.
-        let q = query(&env, &costs, &candidates, &cond, &steps);
-        assert_eq!(bandit.choose(&q), candidates[0]);
-    }
-
-    #[test]
-    fn bandit_exploration_deterministic_per_seed() {
-        let (env, costs, candidates) = fixture();
-        let cond = env.conditions(0).unwrap();
-        let steps = vec![1, 1, 1];
-        let run = |seed: u64| -> Vec<usize> {
-            let bandit = BanditCut::new(0.5, seed);
-            (0..20u64)
-                .map(|r| {
-                    let cond = env.conditions(r).unwrap();
-                    let q = CutQuery {
-                        round: r,
-                        default_cut: candidates[0],
-                        candidates: &candidates,
-                        costs: &costs,
-                        conditions: &cond,
-                        env: &env,
-                        steps: &steps,
-                    };
-                    let cut = bandit.choose(&q);
-                    bandit.observe(r, cut, 1.0 + cut as f64);
-                    cut
-                })
-                .collect()
-        };
-        let _ = cond;
-        assert_eq!(run(3), run(3));
-        assert_ne!(run(3), run(4), "different seeds should explore differently");
-    }
-
-    #[test]
-    fn spec_builds_every_policy() {
-        assert!(CutPolicySpec::Fixed.is_fixed());
-        assert!(!CutPolicySpec::Greedy.is_fixed());
-        let _ = CutPolicySpec::Fixed.policy(0);
-        let _ = CutPolicySpec::Greedy.policy(0);
-        let _ = CutPolicySpec::Bandit { epsilon: 0.2 }.policy(0);
-        let json = serde_json::to_string(&CutPolicySpec::Bandit { epsilon: 0.2 }).unwrap();
-        let back: CutPolicySpec = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, CutPolicySpec::Bandit { epsilon: 0.2 });
     }
 }

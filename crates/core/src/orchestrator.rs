@@ -1,10 +1,10 @@
-//! Joint per-round orchestration: cut × bandwidth × codec × cohort.
+//! Per-round planning: cut × bandwidth × codec × cohort.
 //!
-//! The [`crate::cut`] module adapts exactly one knob — the split point.
-//! Real deployments tune several coupled knobs at once: where to cut,
+//! The paper fixes the split point once per experiment. Real
+//! deployments tune several coupled knobs every round: where to cut,
 //! which codec to put on the wire, how to divide the band among the
 //! round's participants, and how many clients to admit at all. This
-//! module closes that joint loop:
+//! module is the one place those per-round decisions are made:
 //!
 //! * [`Orchestrator`] — the per-round decision trait. Implementations
 //!   see a [`PlanQuery`] (live [`RoundConditions`], candidate cuts with
@@ -13,31 +13,36 @@
 //! * [`StaticPlan`] — the baseline: configured cut, configured codec, no
 //!   share or cohort overrides. Byte-identical to the pre-orchestrator
 //!   code (the golden-fixture tests pin this).
-//! * [`GreedyJoint`] — enumerates the cut × codec × share-mode product,
-//!   estimates each combination's straggler-bound round latency from the
-//!   live conditions, and picks the argmin. Also fills per-client cuts
-//!   (via the same estimator, per client) for schemes that can exercise
-//!   heterogeneous splits — SplitFed, where every client already owns a
-//!   private server-side replica.
+//! * [`GreedyJoint`] — enumerates its arm space, estimates each arm's
+//!   straggler-bound round latency from the live conditions, and picks
+//!   the argmin. Also fills per-client cuts (via the same estimator, per
+//!   client) for schemes that can exercise heterogeneous splits —
+//!   SplitFed, where every client already owns a private server-side
+//!   replica.
 //! * [`BanditPlan`] — seeded ε-greedy over the same arm space, learning
 //!   from *realized* [`crate::latency::RoundLatency`] durations fed back
 //!   via [`Orchestrator::observe`] instead of trusting the estimator.
 //!
-//! Plans are applied by the schemes through [`PlanSelector`] (one per
-//! scheme run, like [`CutSelector`] — learned state never leaks across
-//! sessions). Every emitted plan is feasibility-checked by
-//! [`validate_plan`]: the cut must be a candidate, shares must be
-//! finite, non-negative and sum to ≤ 1, per-client cuts must be
-//! candidates, and the cohort must fit the round's participant count.
+//! A planner searches one of two arm spaces. A non-static
+//! [`OrchestratorSpec`] selects the *joint* space: cut × codec menu ×
+//! share mode. A non-fixed [`crate::cut::CutPolicySpec`] (under the
+//! static orchestrator) selects the *cut-only* space: the candidate cuts
+//! alone, at the configured codec and the channel mode's default
+//! bandwidth split.
 //!
-//! Orchestrators are named in configs by [`OrchestratorSpec`] (serde).
-//! Non-static orchestrators require `momentum == 0` (optimizer velocity
-//! is not remappable across cuts) and the *fixed* cut policy — the
-//! orchestrator owns the per-round cut decision, and the config
-//! validation rejects a second decider rather than arbitrating.
+//! Plans are applied by the schemes through [`PlanSelector`] (one per
+//! scheme run — learned state never leaks across sessions). Every
+//! emitted plan is feasibility-checked by [`validate_plan`]: the cut
+//! must be a candidate, shares must be finite, non-negative and sum to
+//! ≤ 1, per-client cuts must be candidates, and the cohort must fit the
+//! round's participant count.
+//!
+//! Per-round planners require `momentum == 0` (optimizer velocity is
+//! not remappable across cuts). The config validation also rejects a
+//! non-fixed cut policy combined with a non-static orchestrator rather
+//! than arbitrating between two deciders.
 
 use crate::compression::CompressionSpec;
-use crate::cut::CutSelector;
 use crate::latency::SplitCosts;
 use gsfl_nn::codec::CodecSpec;
 use gsfl_tensor::rng::SeedDerive;
@@ -95,7 +100,8 @@ pub struct PlanQuery<'a> {
     pub env: &'a dyn ChannelModel,
     /// Per-client step counts (index = client id; length = client count).
     pub steps: &'a [usize],
-    /// The clients available this round, ascending.
+    /// The clients available this round, ascending (for a cut-only
+    /// planner: the clients the environment reports reachable).
     pub participants: &'a [usize],
 }
 
@@ -180,9 +186,8 @@ pub fn validate_plan(plan: &RoundPlan, q: &PlanQuery<'_>) -> crate::Result<()> {
 
 /// The baseline plan: configured cut, configured codec (the menu's first
 /// entry), no share/cohort/per-client overrides. Exists so the trait has
-/// a reference implementation; [`PlanSelector`] short-circuits the
-/// static path through [`CutSelector`] instead (which also covers
-/// adaptive *cut-only* policies).
+/// a reference implementation; [`PlanSelector`] returns the configured
+/// plan directly on the static path.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct StaticPlan;
 
@@ -219,6 +224,51 @@ const SHARE_MODES: [ShareMode; 3] = [
     ShareMode::DemandWeighted,
 ];
 
+/// The decisions a planner searches over.
+///
+/// The cut-only space has conventions of its own, which
+/// `tests/planner_golden.rs` pins: no switching hysteresis, a per-client
+/// cut refined for *every* client id, a bandit that pins every client
+/// to the round's cut, its own exploration seed stream, and (see
+/// [`PlanSelector::plan_for_round`]) the environment's reachable clients
+/// as the participants it estimates over.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+enum ArmSpace {
+    /// Cut × codec menu × share mode — a non-static orchestrator.
+    #[default]
+    Joint,
+    /// The candidate cuts at the configured codec (the menu's first
+    /// entry) and the legacy share mode — a non-fixed cut policy.
+    CutOnly,
+}
+
+impl ArmSpace {
+    /// The codec-menu prefix searched.
+    fn codecs<'a>(self, q: &PlanQuery<'a>) -> &'a [CompressionSpec] {
+        match self {
+            ArmSpace::Joint => q.codec_menu,
+            ArmSpace::CutOnly => &q.codec_menu[..q.codec_menu.len().min(1)],
+        }
+    }
+
+    /// The share modes searched.
+    fn share_modes(self) -> &'static [ShareMode] {
+        match self {
+            ArmSpace::Joint => &SHARE_MODES,
+            ArmSpace::CutOnly => &SHARE_MODES[..1],
+        }
+    }
+
+    /// The clients whose own-chain argmin cut the greedy planner
+    /// refines; everyone else trains at the round's cut.
+    fn refined_clients(self, q: &PlanQuery<'_>) -> Vec<usize> {
+        match self {
+            ArmSpace::Joint => active(q),
+            ArmSpace::CutOnly => (0..q.steps.len()).collect(),
+        }
+    }
+}
+
 /// Clients that actually train this round: participants with steps.
 fn active(q: &PlanQuery<'_>) -> Vec<usize> {
     q.participants
@@ -242,8 +292,9 @@ fn share_for(q: &PlanQuery<'_>, shares: Option<&[f64]>, c: usize) -> Option<Hert
 
 /// Estimated latency of client `c`'s split chain at `share`: model
 /// download + `steps ×` (forward, smashed uplink, server pass, gradient
-/// downlink, backward). Mirrors [`crate::cut::GreedyLatency`] with the
-/// candidate codec's wire sizes.
+/// downlink, backward), at the candidate codec's wire sizes. Ignores
+/// server slot contention and group structure — it is a deliberately
+/// cheap estimator; [`BanditPlan`] learns what it misses.
 fn chain_estimate(q: &PlanQuery<'_>, costs: &SplitCosts, c: usize, share: Hertz) -> Option<f64> {
     let steps = q.steps.get(c).copied().unwrap_or(0);
     if steps == 0 {
@@ -351,41 +402,54 @@ fn mode_shares(q: &PlanQuery<'_>, costs: &SplitCosts, mode: ShareMode) -> Option
 /// model, changes quantization noise).
 const SWITCH_MARGIN: f64 = 0.1;
 
-/// Enumerates cut × codec × share mode, estimates each combination's
-/// straggler-bound latency from the live conditions, and emits the
-/// argmin — plus per-client cuts (the per-client argmin at the chosen
-/// codec and shares) for schemes that can split heterogeneously.
+/// Enumerates its arm space (cut × codec × share mode), estimates each
+/// combination's straggler-bound latency from the live conditions, and
+/// emits the argmin (the lowest arm on ties) — plus per-client cuts (the
+/// per-client argmin at the chosen codec and shares) for schemes that
+/// can split heterogeneously.
 ///
-/// Decisions carry hysteresis: once an arm is chosen, a challenger must
-/// beat its *current-round* estimate by a 10% margin to displace
+/// Joint decisions carry hysteresis: once an arm is chosen, a challenger
+/// must beat its *current-round* estimate by a 10% margin to displace
 /// it. Shares are still recomputed from the live conditions every round
-/// — only the discrete (cut, codec, mode) choice is damped.
+/// — only the discrete (cut, codec, mode) choice is damped. The cut-only
+/// space takes the argmin every round.
 #[derive(Debug, Default)]
 pub struct GreedyJoint {
     /// The committed (cut, codec-menu index, share-mode index) arm.
     incumbent: Mutex<Option<(usize, usize, usize)>>,
+    space: ArmSpace,
 }
 
 impl GreedyJoint {
-    /// A fresh planner with no committed arm.
+    /// A fresh joint-space planner with no committed arm.
     pub fn new() -> Self {
         GreedyJoint::default()
+    }
+
+    fn over(space: ArmSpace) -> Self {
+        GreedyJoint {
+            space,
+            ..GreedyJoint::default()
+        }
     }
 }
 
 impl Orchestrator for GreedyJoint {
     fn plan(&self, q: &PlanQuery<'_>) -> RoundPlan {
         let fallback = || StaticPlan.plan(q);
-        let held = *self.incumbent.lock().expect("greedy state lock");
+        let held = match self.space {
+            ArmSpace::Joint => *self.incumbent.lock().expect("greedy state lock"),
+            ArmSpace::CutOnly => None,
+        };
         let mut best: Option<(f64, (usize, usize, usize), RoundPlan)> = None;
         let mut held_now: Option<(f64, RoundPlan)> = None;
         for &cut in q.candidates {
             let Some(base) = q.costs.get(&cut) else {
                 continue;
             };
-            for (ki, codec) in q.codec_menu.iter().enumerate() {
+            for (ki, codec) in self.space.codecs(q).iter().enumerate() {
                 let costs = base.with_compression(codec);
-                for (mi, mode) in SHARE_MODES.iter().enumerate() {
+                for (mi, mode) in self.space.share_modes().iter().enumerate() {
                     let Some(shares) = mode_shares(q, &costs, *mode) else {
                         continue;
                     };
@@ -421,11 +485,11 @@ impl Orchestrator for GreedyJoint {
         };
         *self.incumbent.lock().expect("greedy state lock") = Some(arm);
         // Per-client refinement at the chosen codec and shares: each
-        // active client's own-chain argmin. SplitFed (private
+        // refined client's own-chain argmin. SplitFed (private
         // server-side replicas) honors these; everything else trains at
         // the global cut.
         let mut client_cuts = vec![plan.cut; q.steps.len()];
-        for c in active(q) {
+        for c in self.space.refined_clients(q) {
             let Some(share) = share_for(q, plan.shares.as_deref(), c) else {
                 continue;
             };
@@ -453,14 +517,16 @@ impl Orchestrator for GreedyJoint {
 /// One arm of the plan bandit: (cut, codec-menu index, share mode).
 type Arm = (usize, usize, usize);
 
-/// ε-greedy bandit over realized round latencies on the cut × codec ×
-/// share-mode arm space: explore a uniform random arm with probability ε
-/// (deterministic per round given the seed), otherwise exploit the
+/// ε-greedy bandit over realized round latencies on its arm space (cut
+/// × codec × share mode): explore a uniform random arm with probability
+/// ε (deterministic per round given the seed), otherwise exploit the
 /// lowest observed mean. Untried arms are explored first, in ascending
-/// (cut, codec, mode) order. Emits no per-client cuts — it learns the
-/// joint arm, not per-client structure.
+/// (cut, codec, mode) order. It learns the round's arm, not per-client
+/// structure: the joint space emits no per-client cuts, the cut-only
+/// space pins every client to the round's cut.
 #[derive(Debug)]
 pub struct BanditPlan {
+    space: ArmSpace,
     epsilon: f64,
     seeds: SeedDerive,
     /// arm → (observations, mean realized latency).
@@ -470,22 +536,32 @@ pub struct BanditPlan {
 }
 
 impl BanditPlan {
-    /// A fresh bandit; `epsilon` is the exploration probability and
-    /// `seed` makes the exploration schedule reproducible.
+    /// A fresh joint-space bandit; `epsilon` is the exploration
+    /// probability and `seed` makes the exploration schedule
+    /// reproducible.
     pub fn new(epsilon: f64, seed: u64) -> Self {
+        BanditPlan::over(ArmSpace::Joint, epsilon, seed)
+    }
+
+    fn over(space: ArmSpace, epsilon: f64, seed: u64) -> Self {
+        let label = match space {
+            ArmSpace::Joint => "orchestrator-bandit",
+            ArmSpace::CutOnly => "cut-bandit",
+        };
         BanditPlan {
+            space,
             epsilon,
-            seeds: SeedDerive::new(seed).child("orchestrator-bandit"),
+            seeds: SeedDerive::new(seed).child(label),
             arms: Mutex::new(BTreeMap::new()),
             pending: Mutex::new(BTreeMap::new()),
         }
     }
 
-    fn arm_space(q: &PlanQuery<'_>) -> Vec<Arm> {
+    fn arm_space(&self, q: &PlanQuery<'_>) -> Vec<Arm> {
         let mut v = Vec::new();
         for &cut in q.candidates {
-            for ci in 0..q.codec_menu.len() {
-                for mi in 0..SHARE_MODES.len() {
+            for ci in 0..self.space.codecs(q).len() {
+                for mi in 0..self.space.share_modes().len() {
                     v.push((cut, ci, mi));
                 }
             }
@@ -493,14 +569,18 @@ impl BanditPlan {
         v
     }
 
-    fn plan_of(q: &PlanQuery<'_>, arm: Arm) -> Option<RoundPlan> {
+    fn plan_of(&self, q: &PlanQuery<'_>, arm: Arm) -> Option<RoundPlan> {
         let (cut, ci, mi) = arm;
-        let codec = *q.codec_menu.get(ci)?;
+        let codec = *self.space.codecs(q).get(ci)?;
         let costs = q.costs.get(&cut)?.with_compression(&codec);
-        let shares = mode_shares(q, &costs, SHARE_MODES[mi])?;
+        let shares = mode_shares(q, &costs, self.space.share_modes()[mi])?;
+        let client_cuts = match self.space {
+            ArmSpace::Joint => None,
+            ArmSpace::CutOnly => Some(vec![cut; q.steps.len()]),
+        };
         Some(RoundPlan {
             cut,
-            client_cuts: None,
+            client_cuts,
             shares,
             codec,
             cohort: None,
@@ -510,7 +590,7 @@ impl BanditPlan {
 
 impl Orchestrator for BanditPlan {
     fn plan(&self, q: &PlanQuery<'_>) -> RoundPlan {
-        let space = BanditPlan::arm_space(q);
+        let space = self.arm_space(q);
         if space.is_empty() {
             return StaticPlan.plan(q);
         }
@@ -535,7 +615,7 @@ impl Orchestrator for BanditPlan {
                 }
             }
         };
-        let Some(plan) = BanditPlan::plan_of(q, arm) else {
+        let Some(plan) = self.plan_of(q, arm) else {
             return StaticPlan.plan(q);
         };
         self.pending
@@ -583,13 +663,15 @@ impl OrchestratorSpec {
         matches!(self, OrchestratorSpec::Static)
     }
 
-    /// Builds the planner, or `None` for the static path; `seed` drives
-    /// any stochastic exploration.
-    pub fn orchestrator(&self, seed: u64) -> Option<Box<dyn Orchestrator>> {
+    /// Builds the planner over `space`, or `None` for the static path;
+    /// `seed` drives any stochastic exploration.
+    fn planner(&self, space: ArmSpace, seed: u64) -> Option<Box<dyn Orchestrator>> {
         match *self {
             OrchestratorSpec::Static => None,
-            OrchestratorSpec::Greedy => Some(Box::new(GreedyJoint::new())),
-            OrchestratorSpec::Bandit { epsilon } => Some(Box::new(BanditPlan::new(epsilon, seed))),
+            OrchestratorSpec::Greedy => Some(Box::new(GreedyJoint::over(space))),
+            OrchestratorSpec::Bandit { epsilon } => {
+                Some(Box::new(BanditPlan::over(space, epsilon, seed)))
+            }
         }
     }
 }
@@ -620,35 +702,42 @@ pub fn codec_menu(base: &CompressionSpec) -> Vec<CompressionSpec> {
     menu
 }
 
-/// Per-run plan-selection state: one orchestrator instance per scheme
-/// run, wrapping a [`CutSelector`] for the static path (so adaptive
-/// *cut-only* policies keep working under the static orchestrator).
+/// Per-run plan-selection state: one planner instance per scheme run.
 /// Built in each scheme's [`crate::scheme::Scheme::init`], **not** in
 /// the shared context — learning planners accumulate observations, and
-/// sharing that state would break run independence and determinism.
+/// sharing that state across sessions would warm-start later runs and
+/// let concurrently running schemes (`Runner::run_many`) interleave
+/// feedback in thread-scheduling order, breaking run independence and
+/// determinism.
 #[derive(Debug)]
 pub struct PlanSelector {
-    cuts: CutSelector,
     orch: Option<Box<dyn Orchestrator>>,
+    space: ArmSpace,
     base_codec: CompressionSpec,
 }
 
 impl PlanSelector {
-    /// A fresh selector for one scheme run, from the config's
-    /// orchestrator spec (seeded by the experiment seed).
+    /// A fresh selector for one scheme run (seeded by the experiment
+    /// seed): the orchestrator's joint-space planner, or under the
+    /// static orchestrator the cut policy's cut-only planner.
     pub fn from_config(config: &crate::config::ExperimentConfig) -> Self {
+        let space = if config.orchestrator.is_static() {
+            ArmSpace::CutOnly
+        } else {
+            ArmSpace::Joint
+        };
         PlanSelector {
-            cuts: CutSelector::from_config(config),
-            orch: config.orchestrator.orchestrator(config.seed),
+            orch: config.planner().planner(space, config.seed),
+            space,
             base_codec: config.compression,
         }
     }
 
     /// Resolves the round's plan and the cost profile of its chosen cut
-    /// under its chosen codec. The static orchestrator short-circuits
-    /// through the [`CutSelector`] (configured codec, no overrides) —
-    /// byte-identical to the pre-orchestrator behavior; planners consult
-    /// the round's conditions and are feasibility-checked.
+    /// under its chosen codec. The static path returns the configured
+    /// plan and the context's cached costs — byte-identical to the
+    /// pre-orchestrator behavior; planners consult the round's
+    /// conditions and are feasibility-checked.
     ///
     /// # Errors
     ///
@@ -660,25 +749,26 @@ impl PlanSelector {
         round: u64,
     ) -> crate::Result<(RoundPlan, SplitCosts)> {
         let Some(orch) = &self.orch else {
-            let (cut, costs) = self.cuts.cut_for_round(ctx, round)?;
-            // Adaptive cut policies also refine per client (the
-            // `CutPolicy::choose_for` hook); the fixed policy yields
-            // `None` and every client trains at the configured cut.
-            let client_cuts = self.cuts.client_cuts_for_round(ctx, round)?;
             return Ok((
                 RoundPlan {
-                    cut,
-                    client_cuts,
+                    cut: ctx.config.cut(),
+                    client_cuts: None,
                     shares: None,
                     codec: self.base_codec,
                     cohort: None,
                 },
-                costs,
+                ctx.costs,
             ));
         };
         let conditions = ctx.conditions(round)?;
         let steps = ctx.steps_per_client();
-        let participants = ctx.available_clients(round);
+        // The cut-only space estimates over the clients the environment
+        // reports reachable: no availability draw, and no stand-in
+        // client when nobody is reachable.
+        let participants = match self.space {
+            ArmSpace::Joint => ctx.available_clients(round),
+            ArmSpace::CutOnly => conditions.available_clients(),
+        };
         let q = PlanQuery {
             round,
             default_cut: ctx.config.cut(),
@@ -706,12 +796,11 @@ impl PlanSelector {
         Ok((plan, costs))
     }
 
-    /// Feeds a round's realized latency back to the planner (or to the
-    /// cut policy on the static path).
+    /// Feeds a round's realized latency back to the planner (no-op on
+    /// the static path).
     pub fn observe(&self, round: u64, plan: &RoundPlan, latency_s: f64) {
-        match &self.orch {
-            Some(orch) => orch.observe(round, plan, latency_s),
-            None => self.cuts.observe(round, plan.cut, latency_s),
+        if let Some(orch) = &self.orch {
+            orch.observe(round, plan, latency_s);
         }
     }
 
@@ -847,7 +936,7 @@ mod tests {
         let bandit = BanditPlan::new(0.0, 7);
         let space = {
             let cond = f.env.conditions(0).unwrap();
-            BanditPlan::arm_space(&query(&f, &cond))
+            bandit.arm_space(&query(&f, &cond))
         };
         // Every arm is tried once, in order.
         for (i, &expect) in space.iter().enumerate() {
@@ -889,6 +978,107 @@ mod tests {
     }
 
     #[test]
+    fn cut_only_greedy_picks_a_candidate_and_is_deterministic() {
+        let f = fixture();
+        let cond = f.env.conditions(3).unwrap();
+        let q = query(&f, &cond);
+        let greedy = GreedyJoint::over(ArmSpace::CutOnly);
+        let a = greedy.plan(&q);
+        let b = greedy.plan(&q);
+        assert_eq!(a, b);
+        assert!(f.candidates.contains(&a.cut));
+        // The cut-only space keeps the configured codec and the legacy
+        // bandwidth split.
+        assert_eq!(a.codec, f.menu[0]);
+        assert!(a.shares.is_none() && a.cohort.is_none());
+        validate_plan(&a, &q).unwrap();
+    }
+
+    #[test]
+    fn cut_only_greedy_prefers_cheaper_estimated_cut() {
+        // The greedy estimate of the chosen cut is minimal among
+        // candidates, by construction.
+        let mut f = fixture();
+        f.steps = vec![3, 1, 2];
+        let cond = f.env.conditions(1).unwrap();
+        let q = query(&f, &cond);
+        let chosen = GreedyJoint::over(ArmSpace::CutOnly).plan(&q).cut;
+        let est = |cut: usize| straggler_estimate(&q, &f.costs[&cut], None).unwrap();
+        for &cut in &f.candidates {
+            assert!(est(chosen) <= est(cut) + 1e-12);
+        }
+    }
+
+    #[test]
+    fn cut_only_greedy_client_cuts_minimize_each_clients_chain() {
+        // Client 2 trains far more than the others and is not even a
+        // participant; it still gets its own-chain argmin.
+        let mut f = fixture();
+        f.steps = vec![1, 1, 9];
+        f.participants = vec![0, 1];
+        let cond = f.env.conditions(1).unwrap();
+        let share = cond.dedicated_share();
+        let q = query(&f, &cond);
+        let cuts = GreedyJoint::over(ArmSpace::CutOnly)
+            .plan(&q)
+            .client_cuts
+            .expect("greedy fills client cuts");
+        for (client, &cut) in cuts.iter().enumerate() {
+            assert!(f.candidates.contains(&cut));
+            let est = |cut: usize| chain_estimate(&q, &f.costs[&cut], client, share).unwrap();
+            for &c in &f.candidates {
+                assert!(est(cut) <= est(c) + 1e-12);
+            }
+        }
+        // Zero-step clients cost nothing everywhere; any candidate works.
+        f.steps = vec![0, 1, 1];
+        let q = query(&f, &cond);
+        let cuts = GreedyJoint::over(ArmSpace::CutOnly)
+            .plan(&q)
+            .client_cuts
+            .unwrap();
+        assert!(f.candidates.contains(&cuts[0]));
+    }
+
+    #[test]
+    fn cut_only_bandit_explores_untried_cuts_in_order_then_exploits() {
+        let f = fixture();
+        let cond = f.env.conditions(0).unwrap();
+        let q = query(&f, &cond);
+        let bandit = BanditPlan::over(ArmSpace::CutOnly, 0.0, 7);
+        // First |candidates| rounds try every cut once, in order, with
+        // every client at the round's cut.
+        for (i, &expect) in f.candidates.iter().enumerate() {
+            let plan = bandit.plan(&q);
+            validate_plan(&plan, &q).unwrap();
+            assert_eq!(plan.cut, expect, "round {i}");
+            assert_eq!(plan.client_cuts, Some(vec![expect; f.steps.len()]));
+            // Make cut `expect` look worse the deeper the cut.
+            bandit.observe(q.round, &plan, expect as f64);
+        }
+        // With ε = 0 the bandit now exploits the best-observed cut.
+        assert_eq!(bandit.plan(&q).cut, f.candidates[0]);
+    }
+
+    #[test]
+    fn cut_only_bandit_schedule_is_seed_deterministic() {
+        let f = fixture();
+        let run = |seed: u64| -> Vec<usize> {
+            let bandit = BanditPlan::over(ArmSpace::CutOnly, 0.5, seed);
+            (0..20u64)
+                .map(|r| {
+                    let cond = f.env.conditions(r).unwrap();
+                    let plan = bandit.plan(&query(&f, &cond));
+                    bandit.observe(r, &plan, 1.0 + plan.cut as f64);
+                    plan.cut
+                })
+                .collect()
+        };
+        assert_eq!(run(3), run(3));
+        assert_ne!(run(3), run(4), "different seeds should explore differently");
+    }
+
+    #[test]
     fn validate_plan_rejects_each_violation() {
         let f = fixture();
         let cond = f.env.conditions(0).unwrap();
@@ -925,11 +1115,13 @@ mod tests {
     fn spec_builds_every_orchestrator() {
         assert!(OrchestratorSpec::Static.is_static());
         assert!(!OrchestratorSpec::Greedy.is_static());
-        assert!(OrchestratorSpec::Static.orchestrator(0).is_none());
-        assert!(OrchestratorSpec::Greedy.orchestrator(0).is_some());
-        assert!(OrchestratorSpec::Bandit { epsilon: 0.2 }
-            .orchestrator(0)
-            .is_some());
+        for space in [ArmSpace::Joint, ArmSpace::CutOnly] {
+            assert!(OrchestratorSpec::Static.planner(space, 0).is_none());
+            assert!(OrchestratorSpec::Greedy.planner(space, 0).is_some());
+            assert!(OrchestratorSpec::Bandit { epsilon: 0.2 }
+                .planner(space, 0)
+                .is_some());
+        }
         let json = serde_json::to_string(&OrchestratorSpec::Bandit { epsilon: 0.2 }).unwrap();
         let back: OrchestratorSpec = serde_json::from_str(&json).unwrap();
         assert_eq!(back, OrchestratorSpec::Bandit { epsilon: 0.2 });

@@ -102,9 +102,9 @@ impl Scheme for Gsfl {
     fn run_round(&mut self, ctx: &TrainContext, round: usize) -> Result<RoundOutcome> {
         let state = require_state_mut(&mut self.state)?;
         let cfg = &ctx.config;
-        // The plan selector picks this round's joint cut × codec ×
-        // shares decision from the live conditions (the static path
-        // short-circuits to the config through the cut policy).
+        // The plan selector picks this round's cut × codec × shares
+        // decision from the live conditions (the static path returns
+        // the configured plan).
         let (plan, costs) = state.plans.plan_for_round(ctx, round as u64)?;
         // Split the current global model at the chosen cut: parameters
         // are preserved across the split, so replicas start from the

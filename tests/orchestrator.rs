@@ -5,6 +5,7 @@
 //! explicitly configured `OrchestratorSpec::Static`.
 
 use gsfl::core::config::{DatasetConfig, ExperimentConfig, ModelKind};
+use gsfl::core::cut::CutPolicySpec;
 use gsfl::core::orchestrator::OrchestratorSpec;
 use gsfl::core::results::RunResult;
 use gsfl::core::runner::Runner;
@@ -78,17 +79,35 @@ fn assert_bit_identical(a: &RunResult, b: &RunResult, label: &str) {
 #[test]
 fn orchestrated_runs_bit_identical_across_thread_counts() {
     let specs = [
-        ("greedy", OrchestratorSpec::Greedy),
-        ("bandit", OrchestratorSpec::Bandit { epsilon: 0.2 }),
+        ("greedy", OrchestratorSpec::Greedy, CutPolicySpec::Fixed),
+        (
+            "bandit",
+            OrchestratorSpec::Bandit { epsilon: 0.2 },
+            CutPolicySpec::Fixed,
+        ),
+        (
+            "cut-greedy",
+            OrchestratorSpec::Static,
+            CutPolicySpec::Greedy,
+        ),
+        (
+            "cut-bandit",
+            OrchestratorSpec::Static,
+            CutPolicySpec::Bandit { epsilon: 0.2 },
+        ),
     ];
-    for (name, spec) in specs {
+    for (name, spec, policy) in specs {
+        let with_policy = |threads| ExperimentConfig {
+            cut_policy: policy,
+            ..config(spec, threads)
+        };
         for kind in [
             SchemeKind::Gsfl,
             SchemeKind::SplitFed,
             SchemeKind::Federated,
         ] {
-            let one = Runner::new(config(spec, 1)).unwrap().run(kind).unwrap();
-            let four = Runner::new(config(spec, 4)).unwrap().run(kind).unwrap();
+            let one = Runner::new(with_policy(1)).unwrap().run(kind).unwrap();
+            let four = Runner::new(with_policy(4)).unwrap().run(kind).unwrap();
             assert_bit_identical(&one, &four, &format!("{name}/{kind}"));
         }
     }
