@@ -4,10 +4,12 @@
 //! perf_compare <committed.json> <current.json> [--max-slowdown 2.5]
 //! ```
 //!
-//! Prints a markdown summary table to stdout and exits non-zero when any
-//! tracked speedup ratio regressed past the threshold. Comparing the
-//! committed baseline against itself always passes — the invariant the
-//! gate's own CI wiring relies on.
+//! Prints both reports' thread count and SIMD tier (flagging a mismatch,
+//! informationally) and a markdown summary table to stdout, and exits
+//! non-zero when any tracked speedup ratio regressed past the threshold
+//! or a committed ratio has no usable counterpart in the current run.
+//! Comparing the committed baseline against itself always passes — the
+//! invariant the gate's own CI wiring relies on.
 
 use gsfl_bench::compare::compare;
 use gsfl_bench::suite::SuiteReport;
@@ -60,7 +62,7 @@ fn main() -> ExitCode {
     match run() {
         Ok(true) => ExitCode::SUCCESS,
         Ok(false) => {
-            eprintln!("perf gate failed: a tracked speedup ratio regressed");
+            eprintln!("perf gate failed: a tracked speedup ratio regressed or went unmatched");
             ExitCode::FAILURE
         }
         Err(msg) => {

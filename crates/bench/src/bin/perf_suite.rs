@@ -1,11 +1,12 @@
 //! Offline performance suite (no criterion, works in the air-gapped
 //! build image).
 //!
-//! Times the tensor kernels, FedAvg aggregation, the latency
-//! calculators, a split training step and full multi-client rounds —
-//! the latter two on the preserved pre-optimization engine versus the
-//! fast engine — then writes `BENCH_results.json` at the repository
-//! root so the perf trajectory is tracked from PR to PR.
+//! Times the tensor kernels (against their preserved pre-optimization
+//! twins), codecs, FedAvg aggregation, the latency calculators, a split
+//! training step and full multi-client rounds (the latter two normalized
+//! by a calibration kernel timed in the same process), then writes
+//! `BENCH_results.json` at the repository root so the perf trajectory is
+//! tracked from PR to PR.
 //!
 //! ```text
 //! cargo run --release -p gsfl-bench --bin perf_suite            # full
@@ -13,6 +14,7 @@
 //! cargo run --release -p gsfl-bench --bin perf_suite -- --out x.json
 //! ```
 
+use gsfl_bench::compare::fmt_ratio;
 use gsfl_bench::print_table;
 use gsfl_bench::suite::{run_all, SuiteReport};
 use std::path::PathBuf;
@@ -77,7 +79,7 @@ fn print_report(report: &SuiteReport) {
                     c.name.clone(),
                     format!("{:.3}", c.baseline_ms),
                     format!("{:.3}", c.fast_ms),
-                    format!("{:.2}x", c.speedup),
+                    format!("{}x", fmt_ratio(c.speedup)),
                 ]
             })
             .collect();

@@ -5,10 +5,17 @@
 //! and writes `BENCH_results.json` at the repository root so the perf
 //! trajectory is tracked in-repo from PR to PR.
 //!
-//! The headline output is the [`Comparison`] list: the same workload
-//! timed on the preserved pre-optimization engine
-//! ([`gsfl_tensor::KernelMode::Reference`] + one thread) and on the fast
-//! engine, with the speedup factor computed from mean wall-clock.
+//! The headline output is the [`Comparison`] list, whose ratios are
+//! machine-portable because both sides are timed in the same process.
+//! It holds two kinds of row:
+//!
+//! * **kernel rows** ([`Suite::compare`]): a fast kernel against its
+//!   preserved pre-optimization twin (`gsfl_tensor::reference`, the
+//!   scalar SIMD tier, or the allocating codec path);
+//! * **normalized rows** ([`Suite::normalized`]): workloads with no
+//!   second implementation — the split training step and the
+//!   end-to-end rounds — against one fixed calibration kernel, the
+//!   single-threaded naive `gsfl_tensor::reference::matmul` at 128³.
 
 pub mod aggregation;
 pub mod codec;
@@ -19,7 +26,9 @@ pub mod simd;
 pub mod tensor_ops;
 pub mod train;
 
+use gsfl_tensor::{reference, Tensor};
 use serde::{Deserialize, Serialize};
+use std::hint::black_box;
 use std::time::Instant;
 
 /// One timed workload.
@@ -43,13 +52,18 @@ pub struct BenchEntry {
 pub struct Comparison {
     /// Workload id, e.g. `e2e_round_federated_8c`.
     pub name: String,
-    /// Best per-iteration time of the pre-optimization engine, ms.
+    /// Best per-iteration time of the baseline, ms: the preserved
+    /// pre-optimization twin for a kernel row, the calibration kernel
+    /// for a normalized row (see [`Suite::normalized`]).
     pub baseline_ms: f64,
-    /// Best per-iteration time of the fast engine, ms.
+    /// Best per-iteration time of the workload itself, ms.
     pub fast_ms: f64,
     /// `baseline_ms / fast_ms`.
     pub speedup: f64,
 }
+
+/// Iterations of the calibration kernel per normalized row.
+const CALIBRATION_ITERS: u32 = 40;
 
 /// The serialized suite output (`BENCH_results.json`).
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -147,12 +161,34 @@ impl Suite {
         let name = name.into();
         let base_ns = self.run(format!("{name}/baseline"), iters, baseline);
         let fast_ns = self.run(format!("{name}/fast"), iters, fast);
+        self.push_comparison(name, base_ns, fast_ns);
+    }
+
+    fn push_comparison(&mut self, name: String, base_ns: u64, fast_ns: u64) {
         self.comparisons.push(Comparison {
             name,
             baseline_ms: base_ns as f64 / 1e6,
             fast_ms: fast_ns as f64 / 1e6,
             speedup: base_ns as f64 / fast_ns.max(1) as f64,
         });
+    }
+
+    /// Times the calibration kernel — the naive, single-threaded
+    /// `reference::matmul` of two 128×128 matrices — under
+    /// `<name>/calibration` and `workload` under `<name>/fast`,
+    /// recording a comparison whose speedup is `calibration / workload`
+    /// (fastest iterations on both sides). For workloads with no second
+    /// implementation, this ratio cancels the host's speed the way a
+    /// kernel row's pairing does.
+    pub fn normalized(&mut self, name: impl Into<String>, iters: u32, workload: impl FnMut()) {
+        let a = Tensor::from_fn(&[128, 128], |i| (i as f32).sin());
+        let b = Tensor::from_fn(&[128, 128], |i| (i as f32).cos());
+        let name = name.into();
+        let calibration_ns = self.run(format!("{name}/calibration"), CALIBRATION_ITERS, || {
+            black_box(reference::matmul(black_box(&a), black_box(&b)).unwrap());
+        });
+        let fast_ns = self.run(format!("{name}/fast"), iters, workload);
+        self.push_comparison(name, calibration_ns, fast_ns);
     }
 
     /// Finalizes the report.
@@ -205,13 +241,17 @@ mod tests {
         let mut s = Suite::new(true);
         s.run("noop", 8, || {});
         s.compare("pair", 8, || {}, || {});
+        s.normalized("norm", 8, || {});
         let report = s.finish();
-        assert_eq!(report.entries.len(), 3);
-        assert_eq!(report.comparisons.len(), 1);
+        assert_eq!(report.entries.len(), 5);
+        assert_eq!(report.entries[3].name, "norm/calibration");
+        assert_eq!(report.comparisons.len(), 2);
+        let norm = &report.comparisons[1];
+        assert!(norm.baseline_ms > 0.0, "the calibration kernel takes time");
         assert!(report.quick);
         assert!(report.hardware_threads >= 1);
         let json = serde_json::to_string_pretty(&report).unwrap();
         let back: SuiteReport = serde_json::from_str(&json).unwrap();
-        assert_eq!(back.entries.len(), 3);
+        assert_eq!(back.entries.len(), 5);
     }
 }

@@ -1,7 +1,9 @@
 //! Micro-benchmarks of the tensor substrate: the kernels whose
 //! throughput bounds the whole training harness. Ported from the dead
 //! criterion sources in `benches/tensor_ops.rs`, now timing the fast
-//! kernels against the preserved reference implementations.
+//! kernels against the preserved reference implementations
+//! (`gsfl_tensor::reference`, which exists only as this baseline and as
+//! the equivalence-test oracle).
 
 use super::Suite;
 use gsfl_tensor::conv::{conv2d_backward, conv2d_forward};

@@ -1,9 +1,8 @@
 //! The headline benchmarks: a single split training step and full
-//! multi-client rounds, each timed on the pre-optimization engine
-//! (reference kernels, one thread) versus the fast engine (blocked
-//! batched kernels, workspace reuse, budgeted client parallelism). The
-//! `e2e_round_*` comparisons are the numbers the ISSUE acceptance
-//! criteria track.
+//! multi-client rounds of the paper's CNN. There is one training engine,
+//! so these are *normalized* rows ([`Suite::normalized`]): each workload
+//! is reported against the calibration kernel timed in the same process,
+//! which keeps the ratio comparable across machines.
 
 use super::Suite;
 use gsfl_core::config::{DatasetConfig, ExperimentConfig, ModelKind};
@@ -12,7 +11,7 @@ use gsfl_core::scheme::SchemeKind;
 use gsfl_nn::loss::SoftmaxCrossEntropy;
 use gsfl_nn::optim::Sgd;
 use gsfl_nn::split::SplitNetwork;
-use gsfl_tensor::{set_kernel_mode, KernelMode, Tensor};
+use gsfl_tensor::Tensor;
 use std::hint::black_box;
 
 /// Mutable state for one split-training-step closure.
@@ -68,8 +67,8 @@ impl StepState {
 
 /// The paper's lightweight CNN at CI-friendly scale: 8 clients on
 /// synthetic signs, one round.
-fn round_config(sequential_baseline: bool) -> ExperimentConfig {
-    let mut b = ExperimentConfig::builder()
+fn round_config() -> ExperimentConfig {
+    ExperimentConfig::builder()
         .clients(8)
         .groups(2)
         .rounds(1)
@@ -81,53 +80,28 @@ fn round_config(sequential_baseline: bool) -> ExperimentConfig {
             test_per_class: 4,
             image_size: 16,
         })
-        .seed(11);
-    if sequential_baseline {
-        b = b.client_threads(1);
-    }
-    b.build().expect("benchmark config is valid")
+        .seed(11)
+        .build()
+        .expect("benchmark config is valid")
 }
 
 /// Registers the train-step and end-to-end round benches on `suite`.
 pub fn register(suite: &mut Suite) {
     // --- one split training step (CNN, batch 16) ---------------------
-    let mut base_state = StepState::new();
-    let mut fast_state = StepState::new();
-    suite.compare(
-        "train_step_split_cnn_b16",
-        60,
-        || {
-            set_kernel_mode(KernelMode::Reference);
-            base_state.step();
-        },
-        || {
-            set_kernel_mode(KernelMode::Fast);
-            fast_state.step();
-        },
-    );
+    let mut state = StepState::new();
+    suite.normalized("train_step_split_cnn_b16", 60, || state.step());
 
     // --- full multi-client rounds (≥ 8 clients, CNN) -----------------
     // Context construction (datasets, shards, wireless) is excluded from
     // the timing; each iteration runs one complete round including the
     // round-1 evaluation.
-    let base_runner = Runner::new(round_config(true)).expect("baseline runner builds");
-    let fast_runner = Runner::new(round_config(false)).expect("fast runner builds");
+    let runner = Runner::new(round_config()).expect("runner builds");
     for (label, kind) in [
         ("e2e_round_federated_8c", SchemeKind::Federated),
         ("e2e_round_splitfed_8c", SchemeKind::SplitFed),
     ] {
-        suite.compare(
-            label,
-            8,
-            || {
-                set_kernel_mode(KernelMode::Reference);
-                black_box(base_runner.run(kind).unwrap());
-            },
-            || {
-                set_kernel_mode(KernelMode::Fast);
-                black_box(fast_runner.run(kind).unwrap());
-            },
-        );
+        suite.normalized(label, 8, || {
+            black_box(runner.run(kind).unwrap());
+        });
     }
-    set_kernel_mode(KernelMode::Fast);
 }

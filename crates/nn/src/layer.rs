@@ -41,46 +41,27 @@ pub trait Layer: Send + Sync {
     fn name(&self) -> String;
 
     /// Computes the layer output, caching whatever `backward` will need
-    /// when `mode` is [`Mode::Train`].
+    /// when `mode` is [`Mode::Train`]. Scratch (and, where possible, the
+    /// output buffer) is drawn from `ws`; the returned tensor may own a
+    /// workspace buffer that callers can [`Workspace::recycle`] once dead.
     ///
     /// # Errors
     ///
     /// Returns an error when the input shape is incompatible.
-    fn forward(&mut self, input: &Tensor, mode: Mode) -> Result<Tensor>;
+    fn forward(&mut self, input: &Tensor, mode: Mode, ws: &mut Workspace) -> Result<Tensor>;
 
     /// Propagates `grad_out` through the layer, accumulating parameter
-    /// gradients and returning the gradient with respect to the input.
+    /// gradients and returning the gradient with respect to the input,
+    /// with scratch drawn from `ws`.
     ///
     /// # Errors
     ///
     /// Returns [`crate::NnError::BackwardBeforeForward`] when no cached
     /// forward activation exists, or a shape error when `grad_out` does not
     /// match the cached output shape.
-    fn backward(&mut self, grad_out: &Tensor) -> Result<Tensor>;
+    fn backward(&mut self, grad_out: &Tensor, ws: &mut Workspace) -> Result<Tensor>;
 
-    /// [`Layer::forward`] drawing scratch (and, where possible, the
-    /// output buffer) from a caller [`Workspace`]. Layers on the training
-    /// hot path override this; the default simply ignores the workspace.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Layer::forward`].
-    fn forward_ws(&mut self, input: &Tensor, mode: Mode, ws: &mut Workspace) -> Result<Tensor> {
-        let _ = ws;
-        self.forward(input, mode)
-    }
-
-    /// [`Layer::backward`] drawing scratch from a caller [`Workspace`].
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Layer::backward`].
-    fn backward_ws(&mut self, grad_out: &Tensor, ws: &mut Workspace) -> Result<Tensor> {
-        let _ = ws;
-        self.backward(grad_out)
-    }
-
-    /// [`Layer::backward_ws`] for a network's **first** layer, whose
+    /// [`Layer::backward`] for a network's **first** layer, whose
     /// input gradient nothing consumes: accumulates parameter gradients
     /// but may skip computing the input gradient entirely. The default
     /// just discards it; layers whose input gradient is expensive
@@ -89,8 +70,8 @@ pub trait Layer: Send + Sync {
     /// # Errors
     ///
     /// Same conditions as [`Layer::backward`].
-    fn backward_ws_last(&mut self, grad_out: &Tensor, ws: &mut Workspace) -> Result<()> {
-        let g = self.backward_ws(grad_out, ws)?;
+    fn backward_last(&mut self, grad_out: &Tensor, ws: &mut Workspace) -> Result<()> {
+        let g = self.backward(grad_out, ws)?;
         ws.recycle(g);
         Ok(())
     }

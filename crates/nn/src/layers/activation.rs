@@ -30,17 +30,7 @@ macro_rules! elementwise_activation {
                 $label.to_string()
             }
 
-            fn forward(&mut self, input: &Tensor, mode: Mode) -> Result<Tensor> {
-                let mut ws = Workspace::new();
-                self.forward_ws(input, mode, &mut ws)
-            }
-
-            fn backward(&mut self, grad_out: &Tensor) -> Result<Tensor> {
-                let mut ws = Workspace::new();
-                self.backward_ws(grad_out, &mut ws)
-            }
-
-            fn forward_ws(
+            fn forward(
                 &mut self,
                 input: &Tensor,
                 mode: Mode,
@@ -58,7 +48,7 @@ macro_rules! elementwise_activation {
                 Ok(Tensor::from_vec(out, input.dims())?)
             }
 
-            fn backward_ws(&mut self, grad_out: &Tensor, ws: &mut Workspace) -> Result<Tensor> {
+            fn backward(&mut self, grad_out: &Tensor, ws: &mut Workspace) -> Result<Tensor> {
                 let $cached = self
                     .cached
                     .as_ref()
@@ -114,11 +104,12 @@ elementwise_activation!(
     /// ```
     /// use gsfl_nn::layers::Relu;
     /// use gsfl_nn::layer::{Layer, Mode};
-    /// use gsfl_tensor::Tensor;
+    /// use gsfl_tensor::{Tensor, Workspace};
     ///
     /// # fn main() -> Result<(), gsfl_nn::NnError> {
     /// let mut relu = Relu::new();
-    /// let y = relu.forward(&Tensor::from_vec(vec![-1.0, 2.0], &[1, 2])?, Mode::Eval)?;
+    /// let mut ws = Workspace::new();
+    /// let y = relu.forward(&Tensor::from_vec(vec![-1.0, 2.0], &[1, 2])?, Mode::Eval, &mut ws)?;
     /// assert_eq!(y.data(), &[0.0, 2.0]);
     /// # Ok(())
     /// # }
@@ -157,17 +148,7 @@ impl Layer for Sigmoid {
         "sigmoid".to_string()
     }
 
-    fn forward(&mut self, input: &Tensor, mode: Mode) -> Result<Tensor> {
-        let mut ws = Workspace::new();
-        self.forward_ws(input, mode, &mut ws)
-    }
-
-    fn backward(&mut self, grad_out: &Tensor) -> Result<Tensor> {
-        let mut ws = Workspace::new();
-        self.backward_ws(grad_out, &mut ws)
-    }
-
-    fn forward_ws(&mut self, input: &Tensor, mode: Mode, ws: &mut Workspace) -> Result<Tensor> {
+    fn forward(&mut self, input: &Tensor, mode: Mode, ws: &mut Workspace) -> Result<Tensor> {
         let mut out = ws.take(input.numel());
         for (o, &x) in out.iter_mut().zip(input.data()) {
             *o = 1.0 / (1.0 + (-x).exp());
@@ -179,7 +160,7 @@ impl Layer for Sigmoid {
         Ok(out)
     }
 
-    fn backward_ws(&mut self, grad_out: &Tensor, ws: &mut Workspace) -> Result<Tensor> {
+    fn backward(&mut self, grad_out: &Tensor, ws: &mut Workspace) -> Result<Tensor> {
         let y = self
             .cached_output
             .as_ref()
@@ -238,17 +219,7 @@ impl Layer for Tanh {
         "tanh".to_string()
     }
 
-    fn forward(&mut self, input: &Tensor, mode: Mode) -> Result<Tensor> {
-        let mut ws = Workspace::new();
-        self.forward_ws(input, mode, &mut ws)
-    }
-
-    fn backward(&mut self, grad_out: &Tensor) -> Result<Tensor> {
-        let mut ws = Workspace::new();
-        self.backward_ws(grad_out, &mut ws)
-    }
-
-    fn forward_ws(&mut self, input: &Tensor, mode: Mode, ws: &mut Workspace) -> Result<Tensor> {
+    fn forward(&mut self, input: &Tensor, mode: Mode, ws: &mut Workspace) -> Result<Tensor> {
         let mut out = ws.take(input.numel());
         for (o, &x) in out.iter_mut().zip(input.data()) {
             *o = x.tanh();
@@ -260,7 +231,7 @@ impl Layer for Tanh {
         Ok(out)
     }
 
-    fn backward_ws(&mut self, grad_out: &Tensor, ws: &mut Workspace) -> Result<Tensor> {
+    fn backward(&mut self, grad_out: &Tensor, ws: &mut Workspace) -> Result<Tensor> {
         let y = self
             .cached_output
             .as_ref()
@@ -302,31 +273,34 @@ mod tests {
 
     #[test]
     fn relu_forward_and_backward() {
+        let mut ws = Workspace::new();
         let mut relu = Relu::new();
         let x = Tensor::from_vec(vec![-2.0, -0.5, 0.0, 1.5], &[1, 4]).unwrap();
-        let y = relu.forward(&x, Mode::Train).unwrap();
+        let y = relu.forward(&x, Mode::Train, &mut ws).unwrap();
         assert_eq!(y.data(), &[0.0, 0.0, 0.0, 1.5]);
-        let g = relu.backward(&Tensor::ones(&[1, 4])).unwrap();
+        let g = relu.backward(&Tensor::ones(&[1, 4]), &mut ws).unwrap();
         assert_eq!(g.data(), &[0.0, 0.0, 0.0, 1.0]);
     }
 
     #[test]
     fn leaky_relu_keeps_small_negative_grad() {
+        let mut ws = Workspace::new();
         let mut l = LeakyRelu::new();
         let x = Tensor::from_vec(vec![-1.0, 1.0], &[1, 2]).unwrap();
-        let y = l.forward(&x, Mode::Train).unwrap();
+        let y = l.forward(&x, Mode::Train, &mut ws).unwrap();
         assert!((y.data()[0] + 0.01).abs() < 1e-7);
-        let g = l.backward(&Tensor::ones(&[1, 2])).unwrap();
+        let g = l.backward(&Tensor::ones(&[1, 2]), &mut ws).unwrap();
         assert!((g.data()[0] - 0.01).abs() < 1e-7);
         assert_eq!(g.data()[1], 1.0);
     }
 
     #[test]
     fn sigmoid_gradient_matches_fd() {
+        let mut ws = Workspace::new();
         let mut s = Sigmoid::new();
         let x = Tensor::from_vec(vec![-1.0, 0.0, 2.0], &[1, 3]).unwrap();
-        s.forward(&x, Mode::Train).unwrap();
-        let g = s.backward(&Tensor::ones(&[1, 3])).unwrap();
+        s.forward(&x, Mode::Train, &mut ws).unwrap();
+        let g = s.backward(&Tensor::ones(&[1, 3]), &mut ws).unwrap();
         let eps = 1e-3f32;
         for i in 0..3 {
             let mut xp = x.clone();
@@ -334,8 +308,8 @@ mod tests {
             let mut xm = x.clone();
             xm.data_mut()[i] -= eps;
             let mut sp = Sigmoid::new();
-            let fp = sp.forward(&xp, Mode::Eval).unwrap().sum();
-            let fm = sp.forward(&xm, Mode::Eval).unwrap().sum();
+            let fp = sp.forward(&xp, Mode::Eval, &mut ws).unwrap().sum();
+            let fm = sp.forward(&xm, Mode::Eval, &mut ws).unwrap().sum();
             let fd = (fp - fm) / (2.0 * eps);
             assert!((fd - g.data()[i]).abs() < 1e-3);
         }
@@ -343,10 +317,11 @@ mod tests {
 
     #[test]
     fn tanh_gradient_matches_fd() {
+        let mut ws = Workspace::new();
         let mut t = Tanh::new();
         let x = Tensor::from_vec(vec![-0.7, 0.3], &[1, 2]).unwrap();
-        t.forward(&x, Mode::Train).unwrap();
-        let g = t.backward(&Tensor::ones(&[1, 2])).unwrap();
+        t.forward(&x, Mode::Train, &mut ws).unwrap();
+        let g = t.backward(&Tensor::ones(&[1, 2]), &mut ws).unwrap();
         let eps = 1e-3f32;
         for i in 0..2 {
             let mut xp = x.clone();
@@ -354,8 +329,8 @@ mod tests {
             let mut xm = x.clone();
             xm.data_mut()[i] -= eps;
             let mut tt = Tanh::new();
-            let fp = tt.forward(&xp, Mode::Eval).unwrap().sum();
-            let fm = tt.forward(&xm, Mode::Eval).unwrap().sum();
+            let fp = tt.forward(&xp, Mode::Eval, &mut ws).unwrap().sum();
+            let fm = tt.forward(&xm, Mode::Eval, &mut ws).unwrap().sum();
             let fd = (fp - fm) / (2.0 * eps);
             assert!((fd - g.data()[i]).abs() < 1e-3);
         }
@@ -369,8 +344,10 @@ mod tests {
 
     #[test]
     fn backward_shape_mismatch_rejected() {
+        let mut ws = Workspace::new();
         let mut relu = Relu::new();
-        relu.forward(&Tensor::zeros(&[1, 4]), Mode::Train).unwrap();
-        assert!(relu.backward(&Tensor::zeros(&[1, 5])).is_err());
+        relu.forward(&Tensor::zeros(&[1, 4]), Mode::Train, &mut ws)
+            .unwrap();
+        assert!(relu.backward(&Tensor::zeros(&[1, 5]), &mut ws).is_err());
     }
 }

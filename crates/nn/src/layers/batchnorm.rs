@@ -1,6 +1,7 @@
 use crate::flops::LayerFlops;
 use crate::layer::{Layer, Mode};
 use crate::{NnError, Parameter, Result};
+use gsfl_tensor::workspace::Workspace;
 use gsfl_tensor::Tensor;
 
 /// Batch normalization over the channel axis of NCHW tensors.
@@ -68,7 +69,7 @@ impl Layer for BatchNorm2d {
         format!("batchnorm2d({})", self.channels)
     }
 
-    fn forward(&mut self, input: &Tensor, mode: Mode) -> Result<Tensor> {
+    fn forward(&mut self, input: &Tensor, mode: Mode, _ws: &mut Workspace) -> Result<Tensor> {
         let (n, c, h, w) = self.check_input(input.dims())?;
         let plane = h * w;
         let count = (n * plane) as f32;
@@ -138,7 +139,7 @@ impl Layer for BatchNorm2d {
         Ok(Tensor::from_vec(out, input.dims())?)
     }
 
-    fn backward(&mut self, grad_out: &Tensor) -> Result<Tensor> {
+    fn backward(&mut self, grad_out: &Tensor, _ws: &mut Workspace) -> Result<Tensor> {
         let cache = self
             .cache
             .as_ref()
@@ -220,9 +221,10 @@ mod tests {
 
     #[test]
     fn train_output_is_normalized() {
+        let mut ws = Workspace::new();
         let mut bn = BatchNorm2d::new(2);
         let x = Tensor::from_fn(&[4, 2, 3, 3], |i| (i as f32) * 0.5 - 9.0);
-        let y = bn.forward(&x, Mode::Train).unwrap();
+        let y = bn.forward(&x, Mode::Train, &mut ws).unwrap();
         // Per-channel mean ≈ 0, var ≈ 1 after normalization (gamma=1, beta=0).
         let plane = 9;
         for ch in 0..2 {
@@ -241,24 +243,26 @@ mod tests {
 
     #[test]
     fn eval_uses_running_stats() {
+        let mut ws = Workspace::new();
         let mut bn = BatchNorm2d::new(1);
         let x = Tensor::full(&[2, 1, 2, 2], 10.0);
         // Before any training step the running stats are (0, 1).
-        let y = bn.forward(&x, Mode::Eval).unwrap();
+        let y = bn.forward(&x, Mode::Eval, &mut ws).unwrap();
         assert!(y.data().iter().all(|&v| (v - 10.0).abs() < 1e-3));
         // After training forwards the running mean moves toward 10.
         for _ in 0..50 {
-            bn.forward(&x, Mode::Train).unwrap();
+            bn.forward(&x, Mode::Train, &mut ws).unwrap();
         }
         assert!(bn.running_mean().data()[0] > 9.0);
     }
 
     #[test]
     fn backward_matches_finite_difference() {
+        let mut ws = Workspace::new();
         let mut bn = BatchNorm2d::new(1);
         let x = Tensor::from_fn(&[2, 1, 2, 2], |i| (i as f32) * 0.7 - 2.0);
-        bn.forward(&x, Mode::Train).unwrap();
-        let gx = bn.backward(&Tensor::ones(&[2, 1, 2, 2])).unwrap();
+        bn.forward(&x, Mode::Train, &mut ws).unwrap();
+        let gx = bn.backward(&Tensor::ones(&[2, 1, 2, 2]), &mut ws).unwrap();
         let eps = 1e-2f32;
         for flat in 0..8 {
             let mut xp = x.clone();
@@ -266,8 +270,8 @@ mod tests {
             let mut xm = x.clone();
             xm.data_mut()[flat] -= eps;
             let mut bp = BatchNorm2d::new(1);
-            let fp = bp.forward(&xp, Mode::Train).unwrap().sum();
-            let fm = bp.forward(&xm, Mode::Train).unwrap().sum();
+            let fp = bp.forward(&xp, Mode::Train, &mut ws).unwrap().sum();
+            let fm = bp.forward(&xm, Mode::Train, &mut ws).unwrap().sum();
             let fd = (fp - fm) / (2.0 * eps);
             assert!(
                 (fd - gx.data()[flat]).abs() < 5e-2,
@@ -279,18 +283,20 @@ mod tests {
 
     #[test]
     fn rejects_wrong_channel_count() {
+        let mut ws = Workspace::new();
         let mut bn = BatchNorm2d::new(3);
         assert!(bn
-            .forward(&Tensor::zeros(&[1, 2, 4, 4]), Mode::Train)
+            .forward(&Tensor::zeros(&[1, 2, 4, 4]), Mode::Train, &mut ws)
             .is_err());
     }
 
     #[test]
     fn gamma_beta_gradients() {
+        let mut ws = Workspace::new();
         let mut bn = BatchNorm2d::new(1);
         let x = Tensor::from_fn(&[1, 1, 2, 2], |i| i as f32);
-        bn.forward(&x, Mode::Train).unwrap();
-        bn.backward(&Tensor::ones(&[1, 1, 2, 2])).unwrap();
+        bn.forward(&x, Mode::Train, &mut ws).unwrap();
+        bn.backward(&Tensor::ones(&[1, 1, 2, 2]), &mut ws).unwrap();
         // dβ = Σ dy = 4; dγ = Σ dy·x̂ ≈ 0 for symmetric x̂.
         assert!((bn.params()[1].grad().data()[0] - 4.0).abs() < 1e-5);
         assert!(bn.params()[0].grad().data()[0].abs() < 1e-4);

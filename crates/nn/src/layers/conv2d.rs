@@ -1,14 +1,14 @@
 use crate::flops::LayerFlops;
-use crate::layer::{cache_tensor, Layer, Mode};
+use crate::layer::{Layer, Mode};
 use crate::{NnError, Parameter, Result};
 use gsfl_tensor::conv::{
-    conv2d_backward_from_cols, conv2d_backward_params_from_cols, conv2d_backward_ws,
-    conv2d_forward_ws, conv2d_forward_ws_cols, ConvGeom,
+    conv2d_backward_from_cols, conv2d_backward_params_from_cols, conv2d_forward_ws,
+    conv2d_forward_ws_cols, ConvGeom,
 };
 use gsfl_tensor::init::Init;
 use gsfl_tensor::rng::seeded_rng;
 use gsfl_tensor::workspace::Workspace;
-use gsfl_tensor::{kernel_mode, KernelMode, Tensor};
+use gsfl_tensor::Tensor;
 
 /// 2-D convolution layer over NCHW batches.
 ///
@@ -17,11 +17,12 @@ use gsfl_tensor::{kernel_mode, KernelMode, Tensor};
 /// ```
 /// use gsfl_nn::layers::Conv2d;
 /// use gsfl_nn::layer::{Layer, Mode};
-/// use gsfl_tensor::Tensor;
+/// use gsfl_tensor::{Tensor, Workspace};
 ///
 /// # fn main() -> Result<(), gsfl_nn::NnError> {
 /// let mut conv = Conv2d::new(3, 8, 3, 1, 1, 42); // "same" conv
-/// let y = conv.forward(&Tensor::zeros(&[2, 3, 16, 16]), Mode::Train)?;
+/// let mut ws = Workspace::new();
+/// let y = conv.forward(&Tensor::zeros(&[2, 3, 16, 16]), Mode::Train, &mut ws)?;
 /// assert_eq!(y.dims(), &[2, 8, 16, 16]);
 /// # Ok(())
 /// # }
@@ -35,9 +36,6 @@ pub struct Conv2d {
     kernel: usize,
     stride: usize,
     pad: usize,
-    /// Training-mode input cache (reference-kernel path only — the fast
-    /// path caches the lowered column matrix instead).
-    cached_input: Option<Tensor>,
     /// Training-mode im2col cache: the forward pass's lowering is reused
     /// verbatim by the backward pass.
     cached_cols: Option<Tensor>,
@@ -67,10 +65,26 @@ impl Conv2d {
             kernel,
             stride,
             pad,
-            cached_input: None,
             cached_cols: None,
             cached_dims: None,
         }
+    }
+
+    /// The training-mode lowering and input dims the backward pass needs.
+    fn cached(&self) -> Result<(&Tensor, &[usize])> {
+        match (self.cached_cols.as_ref(), self.cached_dims.as_ref()) {
+            (Some(cols), Some(dims)) => Ok((cols, dims)),
+            _ => Err(NnError::BackwardBeforeForward { layer: self.name() }),
+        }
+    }
+
+    /// Adds one backward's parameter gradients and recycles their buffers.
+    fn accumulate(&mut self, gw: Tensor, gb: Tensor, ws: &mut Workspace) -> Result<()> {
+        self.weight.grad_mut().add_assign_t(&gw)?;
+        self.bias.grad_mut().add_assign_t(&gb)?;
+        ws.recycle(gw);
+        ws.recycle(gb);
+        Ok(())
     }
 
     fn geom(&self, h: usize, w: usize) -> Result<ConvGeom> {
@@ -97,38 +111,19 @@ impl Layer for Conv2d {
         )
     }
 
-    fn forward(&mut self, input: &Tensor, mode: Mode) -> Result<Tensor> {
-        let mut ws = Workspace::new();
-        self.forward_ws(input, mode, &mut ws)
-    }
-
-    fn backward(&mut self, grad_out: &Tensor) -> Result<Tensor> {
-        let mut ws = Workspace::new();
-        self.backward_ws(grad_out, &mut ws)
-    }
-
-    fn forward_ws(&mut self, input: &Tensor, mode: Mode, ws: &mut Workspace) -> Result<Tensor> {
-        if mode == Mode::Train && kernel_mode() == KernelMode::Fast {
-            // Fast path: keep the batch lowering for the backward pass.
-            let (y, cols) = conv2d_forward_ws_cols(
+    fn forward(&mut self, input: &Tensor, mode: Mode, ws: &mut Workspace) -> Result<Tensor> {
+        if mode == Mode::Eval {
+            return Ok(conv2d_forward_ws(
                 input,
                 self.weight.value(),
                 self.bias.value(),
                 self.stride,
                 self.pad,
                 ws,
-            )?;
-            if let Some(old) = self.cached_cols.take() {
-                ws.recycle(old);
-            }
-            self.cached_cols = Some(cols);
-            let dims = self.cached_dims.get_or_insert_with(Vec::new);
-            dims.clear();
-            dims.extend_from_slice(input.dims());
-            self.cached_input = None;
-            return Ok(y);
+            )?);
         }
-        let y = conv2d_forward_ws(
+        // Keep the batch lowering for the backward pass.
+        let (y, cols) = conv2d_forward_ws_cols(
             input,
             self.weight.value(),
             self.bias.value(),
@@ -136,67 +131,42 @@ impl Layer for Conv2d {
             self.pad,
             ws,
         )?;
-        if mode == Mode::Train {
-            cache_tensor(&mut self.cached_input, input);
-            self.cached_cols = None;
+        if let Some(old) = self.cached_cols.replace(cols) {
+            ws.recycle(old);
         }
+        let dims = self.cached_dims.get_or_insert_with(Vec::new);
+        dims.clear();
+        dims.extend_from_slice(input.dims());
         Ok(y)
     }
 
-    fn backward_ws(&mut self, grad_out: &Tensor, ws: &mut Workspace) -> Result<Tensor> {
-        let (gx, gw, gb) = if let (Some(cols), Some(dims)) =
-            (self.cached_cols.as_ref(), self.cached_dims.as_ref())
-        {
-            conv2d_backward_from_cols(
-                dims,
-                cols,
-                self.weight.value(),
-                grad_out,
-                self.stride,
-                self.pad,
-                ws,
-            )?
-        } else {
-            let input = self
-                .cached_input
-                .as_ref()
-                .ok_or_else(|| NnError::BackwardBeforeForward { layer: self.name() })?;
-            conv2d_backward_ws(
-                input,
-                self.weight.value(),
-                grad_out,
-                self.stride,
-                self.pad,
-                ws,
-            )?
-        };
-        self.weight.grad_mut().add_assign_t(&gw)?;
-        self.bias.grad_mut().add_assign_t(&gb)?;
-        ws.recycle(gw);
-        ws.recycle(gb);
+    fn backward(&mut self, grad_out: &Tensor, ws: &mut Workspace) -> Result<Tensor> {
+        let (cols, dims) = self.cached()?;
+        let (gx, gw, gb) = conv2d_backward_from_cols(
+            dims,
+            cols,
+            self.weight.value(),
+            grad_out,
+            self.stride,
+            self.pad,
+            ws,
+        )?;
+        self.accumulate(gw, gb, ws)?;
         Ok(gx)
     }
 
-    fn backward_ws_last(&mut self, grad_out: &Tensor, ws: &mut Workspace) -> Result<()> {
-        if let (Some(cols), Some(dims)) = (self.cached_cols.as_ref(), self.cached_dims.as_ref()) {
-            let (gw, gb) = conv2d_backward_params_from_cols(
-                dims,
-                cols,
-                self.weight.value(),
-                grad_out,
-                self.stride,
-                self.pad,
-                ws,
-            )?;
-            self.weight.grad_mut().add_assign_t(&gw)?;
-            self.bias.grad_mut().add_assign_t(&gb)?;
-            ws.recycle(gw);
-            ws.recycle(gb);
-            return Ok(());
-        }
-        let g = self.backward_ws(grad_out, ws)?;
-        ws.recycle(g);
-        Ok(())
+    fn backward_last(&mut self, grad_out: &Tensor, ws: &mut Workspace) -> Result<()> {
+        let (cols, dims) = self.cached()?;
+        let (gw, gb) = conv2d_backward_params_from_cols(
+            dims,
+            cols,
+            self.weight.value(),
+            grad_out,
+            self.stride,
+            self.pad,
+            ws,
+        )?;
+        self.accumulate(gw, gb, ws)
     }
 
     fn params(&self) -> Vec<&Parameter> {
@@ -230,7 +200,6 @@ impl Layer for Conv2d {
 
     fn clone_box(&self) -> Box<dyn Layer> {
         Box::new(Conv2d {
-            cached_input: None,
             cached_cols: None,
             cached_dims: None,
             ..self.clone()
@@ -254,11 +223,12 @@ mod tests {
 
     #[test]
     fn forward_backward_shapes() {
+        let mut ws = Workspace::new();
         let mut conv = Conv2d::new(2, 4, 3, 1, 1, 1);
         let x = Tensor::from_fn(&[2, 2, 6, 6], |i| (i as f32 % 7.0) - 3.0);
-        let y = conv.forward(&x, Mode::Train).unwrap();
+        let y = conv.forward(&x, Mode::Train, &mut ws).unwrap();
         assert_eq!(y.dims(), &[2, 4, 6, 6]);
-        let gx = conv.backward(&Tensor::ones(y.dims())).unwrap();
+        let gx = conv.backward(&Tensor::ones(y.dims()), &mut ws).unwrap();
         assert_eq!(gx.dims(), x.dims());
         // bias grad = number of output pixels per channel × batch
         let gb = conv.params()[1].grad().clone();
@@ -267,11 +237,16 @@ mod tests {
 
     #[test]
     fn backward_before_forward_errors() {
+        let mut ws = Workspace::new();
         let mut conv = Conv2d::new(1, 1, 3, 1, 1, 0);
-        assert!(matches!(
-            conv.backward(&Tensor::zeros(&[1, 1, 4, 4])),
-            Err(NnError::BackwardBeforeForward { .. })
-        ));
+        let g = Tensor::zeros(&[1, 1, 4, 4]);
+        let rejected = |r: Result<()>| matches!(r, Err(NnError::BackwardBeforeForward { .. }));
+        assert!(rejected(conv.backward(&g, &mut ws).map(drop)));
+        assert!(rejected(conv.backward_last(&g, &mut ws)));
+        // An eval-mode forward caches no lowering for the backward pass.
+        conv.forward(&Tensor::zeros(&[1, 1, 4, 4]), Mode::Eval, &mut ws)
+            .unwrap();
+        assert!(rejected(conv.backward(&g, &mut ws).map(drop)));
     }
 
     #[test]

@@ -14,11 +14,12 @@ use gsfl_tensor::Tensor;
 /// ```
 /// use gsfl_nn::layers::Dense;
 /// use gsfl_nn::layer::{Layer, Mode};
-/// use gsfl_tensor::Tensor;
+/// use gsfl_tensor::{Tensor, Workspace};
 ///
 /// # fn main() -> Result<(), gsfl_nn::NnError> {
 /// let mut layer = Dense::new(4, 2, 7);
-/// let y = layer.forward(&Tensor::zeros(&[3, 4]), Mode::Train)?;
+/// let mut ws = Workspace::new();
+/// let y = layer.forward(&Tensor::zeros(&[3, 4]), Mode::Train, &mut ws)?;
 /// assert_eq!(y.dims(), &[3, 2]);
 /// # Ok(())
 /// # }
@@ -93,17 +94,7 @@ impl Layer for Dense {
         format!("dense({}→{})", self.in_features, self.out_features)
     }
 
-    fn forward(&mut self, input: &Tensor, mode: Mode) -> Result<Tensor> {
-        let mut ws = Workspace::new();
-        self.forward_ws(input, mode, &mut ws)
-    }
-
-    fn backward(&mut self, grad_out: &Tensor) -> Result<Tensor> {
-        let mut ws = Workspace::new();
-        self.backward_ws(grad_out, &mut ws)
-    }
-
-    fn forward_ws(&mut self, input: &Tensor, mode: Mode, ws: &mut Workspace) -> Result<Tensor> {
+    fn forward(&mut self, input: &Tensor, mode: Mode, ws: &mut Workspace) -> Result<Tensor> {
         // y = x · Wᵀ : [n×in] · [out×in]ᵀ = [n×out]
         let mut y = matmul_a_bt_ws(input, self.weight.value(), ws)?;
         let out = self.out_features;
@@ -119,13 +110,13 @@ impl Layer for Dense {
         Ok(y)
     }
 
-    fn backward_ws(&mut self, grad_out: &Tensor, ws: &mut Workspace) -> Result<Tensor> {
+    fn backward(&mut self, grad_out: &Tensor, ws: &mut Workspace) -> Result<Tensor> {
         self.accumulate_param_grads(grad_out, ws)?;
         // dX = dY · W → [n×out]·[out×in] = [n×in]
         Ok(matmul_ws(grad_out, self.weight.value(), ws)?)
     }
 
-    fn backward_ws_last(&mut self, grad_out: &Tensor, ws: &mut Workspace) -> Result<()> {
+    fn backward_last(&mut self, grad_out: &Tensor, ws: &mut Workspace) -> Result<()> {
         self.accumulate_param_grads(grad_out, ws)
     }
 
@@ -169,39 +160,44 @@ mod tests {
 
     #[test]
     fn forward_shape_and_bias() {
+        let mut ws = Workspace::new();
         let mut layer = Dense::new(3, 2, 0);
         layer.params_mut()[1].value_mut().fill(1.0); // bias = 1
-        let y = layer.forward(&Tensor::zeros(&[4, 3]), Mode::Eval).unwrap();
+        let y = layer
+            .forward(&Tensor::zeros(&[4, 3]), Mode::Eval, &mut ws)
+            .unwrap();
         assert_eq!(y.dims(), &[4, 2]);
         assert!(y.data().iter().all(|&v| v == 1.0));
     }
 
     #[test]
     fn backward_before_forward_errors() {
+        let mut ws = Workspace::new();
         let mut layer = Dense::new(3, 2, 0);
         let g = Tensor::zeros(&[4, 2]);
         assert!(matches!(
-            layer.backward(&g),
+            layer.backward(&g, &mut ws),
             Err(NnError::BackwardBeforeForward { .. })
         ));
     }
 
     #[test]
     fn gradients_match_finite_difference() {
+        let mut ws = Workspace::new();
         let mut layer = Dense::new(3, 2, 5);
         let x = Tensor::from_fn(&[2, 3], |i| (i as f32) * 0.3 - 0.4);
-        let y = layer.forward(&x, Mode::Train).unwrap();
+        let y = layer.forward(&x, Mode::Train, &mut ws).unwrap();
         // Loss = sum(y) so dY = 1.
-        let gx = layer.backward(&Tensor::ones(y.dims())).unwrap();
+        let gx = layer.backward(&Tensor::ones(y.dims()), &mut ws).unwrap();
         let eps = 1e-2f32;
         // Weight gradient check.
         let wgrad = layer.params()[0].grad().clone();
         for flat in 0..6 {
             let orig = layer.params()[0].value().data()[flat];
             layer.params_mut()[0].value_mut().data_mut()[flat] = orig + eps;
-            let fp = layer.forward(&x, Mode::Eval).unwrap().sum();
+            let fp = layer.forward(&x, Mode::Eval, &mut ws).unwrap().sum();
             layer.params_mut()[0].value_mut().data_mut()[flat] = orig - eps;
-            let fm = layer.forward(&x, Mode::Eval).unwrap().sum();
+            let fm = layer.forward(&x, Mode::Eval, &mut ws).unwrap().sum();
             layer.params_mut()[0].value_mut().data_mut()[flat] = orig;
             let fd = (fp - fm) / (2.0 * eps);
             assert!((fd - wgrad.data()[flat]).abs() < 1e-2);
@@ -211,10 +207,10 @@ mod tests {
             let mut xp = x.clone();
             xp.data_mut()[flat] += eps;
             let mut lp = layer.clone();
-            let fp = lp.forward(&xp, Mode::Eval).unwrap().sum();
+            let fp = lp.forward(&xp, Mode::Eval, &mut ws).unwrap().sum();
             let mut xm = x.clone();
             xm.data_mut()[flat] -= eps;
-            let fm = lp.forward(&xm, Mode::Eval).unwrap().sum();
+            let fm = lp.forward(&xm, Mode::Eval, &mut ws).unwrap().sum();
             let fd = (fp - fm) / (2.0 * eps);
             assert!((fd - gx.data()[flat]).abs() < 1e-2);
         }
@@ -222,14 +218,15 @@ mod tests {
 
     #[test]
     fn grads_accumulate_across_backwards() {
+        let mut ws = Workspace::new();
         let mut layer = Dense::new(2, 2, 1);
         let x = Tensor::ones(&[1, 2]);
         let g = Tensor::ones(&[1, 2]);
-        layer.forward(&x, Mode::Train).unwrap();
-        layer.backward(&g).unwrap();
+        layer.forward(&x, Mode::Train, &mut ws).unwrap();
+        layer.backward(&g, &mut ws).unwrap();
         let after_one = layer.params()[0].grad().clone();
-        layer.forward(&x, Mode::Train).unwrap();
-        layer.backward(&g).unwrap();
+        layer.forward(&x, Mode::Train, &mut ws).unwrap();
+        layer.backward(&g, &mut ws).unwrap();
         let after_two = layer.params()[0].grad().clone();
         assert!(after_two.approx_eq(&after_one.scale(2.0), 1e-6));
         layer.zero_grad();
@@ -238,9 +235,12 @@ mod tests {
 
     #[test]
     fn eval_mode_does_not_cache() {
+        let mut ws = Workspace::new();
         let mut layer = Dense::new(2, 2, 1);
-        layer.forward(&Tensor::ones(&[1, 2]), Mode::Eval).unwrap();
-        assert!(layer.backward(&Tensor::ones(&[1, 2])).is_err());
+        layer
+            .forward(&Tensor::ones(&[1, 2]), Mode::Eval, &mut ws)
+            .unwrap();
+        assert!(layer.backward(&Tensor::ones(&[1, 2]), &mut ws).is_err());
     }
 
     #[test]
@@ -253,10 +253,13 @@ mod tests {
 
     #[test]
     fn clone_box_drops_cache_but_keeps_weights() {
+        let mut ws = Workspace::new();
         let mut layer = Dense::new(2, 2, 3);
-        layer.forward(&Tensor::ones(&[1, 2]), Mode::Train).unwrap();
+        layer
+            .forward(&Tensor::ones(&[1, 2]), Mode::Train, &mut ws)
+            .unwrap();
         let mut cloned = layer.clone_box();
         assert_eq!(cloned.params()[0].value(), layer.params()[0].value());
-        assert!(cloned.backward(&Tensor::ones(&[1, 2])).is_err());
+        assert!(cloned.backward(&Tensor::ones(&[1, 2]), &mut ws).is_err());
     }
 }

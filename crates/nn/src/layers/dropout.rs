@@ -2,6 +2,7 @@ use crate::flops::LayerFlops;
 use crate::layer::{Layer, Mode};
 use crate::{NnError, Parameter, Result};
 use gsfl_tensor::rng::seeded_rng;
+use gsfl_tensor::workspace::Workspace;
 use gsfl_tensor::Tensor;
 use rand::Rng;
 use rand_chacha::ChaCha8Rng;
@@ -45,7 +46,7 @@ impl Layer for Dropout {
         format!("dropout(p={})", self.p)
     }
 
-    fn forward(&mut self, input: &Tensor, mode: Mode) -> Result<Tensor> {
+    fn forward(&mut self, input: &Tensor, mode: Mode, _ws: &mut Workspace) -> Result<Tensor> {
         match mode {
             Mode::Eval => Ok(input.clone()),
             Mode::Train => {
@@ -65,7 +66,7 @@ impl Layer for Dropout {
         }
     }
 
-    fn backward(&mut self, grad_out: &Tensor) -> Result<Tensor> {
+    fn backward(&mut self, grad_out: &Tensor, _ws: &mut Workspace) -> Result<Tensor> {
         let mask = self
             .mask
             .as_ref()
@@ -104,17 +105,19 @@ mod tests {
 
     #[test]
     fn eval_is_identity() {
+        let mut ws = Workspace::new();
         let mut d = Dropout::new(0.5, 0);
         let x = Tensor::from_fn(&[4, 8], |i| i as f32);
-        let y = d.forward(&x, Mode::Eval).unwrap();
+        let y = d.forward(&x, Mode::Eval, &mut ws).unwrap();
         assert_eq!(y, x);
     }
 
     #[test]
     fn train_zeroes_roughly_p_fraction() {
+        let mut ws = Workspace::new();
         let mut d = Dropout::new(0.5, 42);
         let x = Tensor::ones(&[1, 10_000]);
-        let y = d.forward(&x, Mode::Train).unwrap();
+        let y = d.forward(&x, Mode::Train, &mut ws).unwrap();
         let zeros = y.data().iter().filter(|&&v| v == 0.0).count();
         assert!((4_000..6_000).contains(&zeros), "zeros = {zeros}");
         // Survivors are scaled to keep the expectation.
@@ -124,10 +127,11 @@ mod tests {
 
     #[test]
     fn backward_reuses_mask() {
+        let mut ws = Workspace::new();
         let mut d = Dropout::new(0.3, 7);
         let x = Tensor::ones(&[1, 100]);
-        let y = d.forward(&x, Mode::Train).unwrap();
-        let g = d.backward(&Tensor::ones(&[1, 100])).unwrap();
+        let y = d.forward(&x, Mode::Train, &mut ws).unwrap();
+        let g = d.backward(&Tensor::ones(&[1, 100]), &mut ws).unwrap();
         // Gradient must be zero exactly where the output was zero.
         for (a, b) in y.data().iter().zip(g.data()) {
             assert_eq!(*a == 0.0, *b == 0.0);
@@ -142,12 +146,13 @@ mod tests {
 
     #[test]
     fn deterministic_with_same_seed() {
+        let mut ws = Workspace::new();
         let x = Tensor::ones(&[1, 64]);
         let mut a = Dropout::new(0.5, 9);
         let mut b = Dropout::new(0.5, 9);
         assert_eq!(
-            a.forward(&x, Mode::Train).unwrap(),
-            b.forward(&x, Mode::Train).unwrap()
+            a.forward(&x, Mode::Train, &mut ws).unwrap(),
+            b.forward(&x, Mode::Train, &mut ws).unwrap()
         );
     }
 }

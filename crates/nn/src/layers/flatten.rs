@@ -1,6 +1,7 @@
 use crate::flops::LayerFlops;
 use crate::layer::{Layer, Mode};
 use crate::{NnError, Parameter, Result};
+use gsfl_tensor::workspace::Workspace;
 use gsfl_tensor::Tensor;
 
 /// Flattens `[n, d1, d2, …]` to `[n, d1·d2·…]` — the bridge between the
@@ -11,11 +12,12 @@ use gsfl_tensor::Tensor;
 /// ```
 /// use gsfl_nn::layers::Flatten;
 /// use gsfl_nn::layer::{Layer, Mode};
-/// use gsfl_tensor::Tensor;
+/// use gsfl_tensor::{Tensor, Workspace};
 ///
 /// # fn main() -> Result<(), gsfl_nn::NnError> {
 /// let mut f = Flatten::new();
-/// let y = f.forward(&Tensor::zeros(&[2, 4, 3, 3]), Mode::Eval)?;
+/// let mut ws = Workspace::new();
+/// let y = f.forward(&Tensor::zeros(&[2, 4, 3, 3]), Mode::Eval, &mut ws)?;
 /// assert_eq!(y.dims(), &[2, 36]);
 /// # Ok(())
 /// # }
@@ -39,7 +41,7 @@ impl Layer for Flatten {
         "flatten".to_string()
     }
 
-    fn forward(&mut self, input: &Tensor, mode: Mode) -> Result<Tensor> {
+    fn forward(&mut self, input: &Tensor, mode: Mode, _ws: &mut Workspace) -> Result<Tensor> {
         let dims = self.output_shape(input.dims())?;
         if mode == Mode::Train {
             self.cached_input_dims = Some(input.dims().to_vec());
@@ -47,7 +49,7 @@ impl Layer for Flatten {
         Ok(input.reshape(&dims)?)
     }
 
-    fn backward(&mut self, grad_out: &Tensor) -> Result<Tensor> {
+    fn backward(&mut self, grad_out: &Tensor, _ws: &mut Workspace) -> Result<Tensor> {
         let dims = self
             .cached_input_dims
             .as_ref()
@@ -87,17 +89,19 @@ mod tests {
 
     #[test]
     fn round_trip_preserves_data() {
+        let mut ws = Workspace::new();
         let mut f = Flatten::new();
         let x = Tensor::from_fn(&[2, 3, 2, 2], |i| i as f32);
-        let y = f.forward(&x, Mode::Train).unwrap();
+        let y = f.forward(&x, Mode::Train, &mut ws).unwrap();
         assert_eq!(y.dims(), &[2, 12]);
-        let gx = f.backward(&y).unwrap();
+        let gx = f.backward(&y, &mut ws).unwrap();
         assert_eq!(gx, x);
     }
 
     #[test]
     fn backward_before_forward_errors() {
+        let mut ws = Workspace::new();
         let mut f = Flatten::new();
-        assert!(f.backward(&Tensor::zeros(&[2, 12])).is_err());
+        assert!(f.backward(&Tensor::zeros(&[2, 12]), &mut ws).is_err());
     }
 }

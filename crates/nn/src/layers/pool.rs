@@ -14,11 +14,12 @@ use gsfl_tensor::Tensor;
 /// ```
 /// use gsfl_nn::layers::MaxPool2d;
 /// use gsfl_nn::layer::{Layer, Mode};
-/// use gsfl_tensor::Tensor;
+/// use gsfl_tensor::{Tensor, Workspace};
 ///
 /// # fn main() -> Result<(), gsfl_nn::NnError> {
 /// let mut pool = MaxPool2d::new(2, 2);
-/// let y = pool.forward(&Tensor::zeros(&[1, 4, 8, 8]), Mode::Eval)?;
+/// let mut ws = Workspace::new();
+/// let y = pool.forward(&Tensor::zeros(&[1, 4, 8, 8]), Mode::Eval, &mut ws)?;
 /// assert_eq!(y.dims(), &[1, 4, 4, 4]);
 /// # Ok(())
 /// # }
@@ -51,17 +52,7 @@ impl Layer for MaxPool2d {
         format!("maxpool2d({}×{0},s{})", self.window, self.stride)
     }
 
-    fn forward(&mut self, input: &Tensor, mode: Mode) -> Result<Tensor> {
-        let mut ws = Workspace::new();
-        self.forward_ws(input, mode, &mut ws)
-    }
-
-    fn backward(&mut self, grad_out: &Tensor) -> Result<Tensor> {
-        let mut ws = Workspace::new();
-        self.backward_ws(grad_out, &mut ws)
-    }
-
-    fn forward_ws(&mut self, input: &Tensor, mode: Mode, ws: &mut Workspace) -> Result<Tensor> {
+    fn forward(&mut self, input: &Tensor, mode: Mode, ws: &mut Workspace) -> Result<Tensor> {
         let out = maxpool2d_forward_ws(input, self.window, self.stride, ws, &mut self.argmax)?;
         self.cached_dims = if mode == Mode::Train {
             match self.cached_dims.take() {
@@ -78,7 +69,7 @@ impl Layer for MaxPool2d {
         Ok(out)
     }
 
-    fn backward_ws(&mut self, grad_out: &Tensor, ws: &mut Workspace) -> Result<Tensor> {
+    fn backward(&mut self, grad_out: &Tensor, ws: &mut Workspace) -> Result<Tensor> {
         let in_dims = self
             .cached_dims
             .as_ref()
@@ -150,17 +141,7 @@ impl Layer for AvgPool2d {
         format!("avgpool2d({}×{0},s{})", self.window, self.stride)
     }
 
-    fn forward(&mut self, input: &Tensor, mode: Mode) -> Result<Tensor> {
-        let mut ws = Workspace::new();
-        self.forward_ws(input, mode, &mut ws)
-    }
-
-    fn backward(&mut self, grad_out: &Tensor) -> Result<Tensor> {
-        let mut ws = Workspace::new();
-        self.backward_ws(grad_out, &mut ws)
-    }
-
-    fn forward_ws(&mut self, input: &Tensor, mode: Mode, ws: &mut Workspace) -> Result<Tensor> {
+    fn forward(&mut self, input: &Tensor, mode: Mode, ws: &mut Workspace) -> Result<Tensor> {
         let out = avgpool2d_forward_ws(input, self.window, self.stride, ws)?;
         if mode == Mode::Train {
             self.cached_input_dims = Some(input.dims().to_vec());
@@ -168,7 +149,7 @@ impl Layer for AvgPool2d {
         Ok(out)
     }
 
-    fn backward_ws(&mut self, grad_out: &Tensor, ws: &mut Workspace) -> Result<Tensor> {
+    fn backward(&mut self, grad_out: &Tensor, ws: &mut Workspace) -> Result<Tensor> {
         let dims = self
             .cached_input_dims
             .as_ref()
@@ -227,31 +208,34 @@ mod tests {
 
     #[test]
     fn maxpool_halves_spatial_dims() {
+        let mut ws = Workspace::new();
         let mut p = MaxPool2d::new(2, 2);
         let x = Tensor::from_fn(&[1, 2, 4, 4], |i| i as f32);
-        let y = p.forward(&x, Mode::Train).unwrap();
+        let y = p.forward(&x, Mode::Train, &mut ws).unwrap();
         assert_eq!(y.dims(), &[1, 2, 2, 2]);
-        let gx = p.backward(&Tensor::ones(y.dims())).unwrap();
+        let gx = p.backward(&Tensor::ones(y.dims()), &mut ws).unwrap();
         assert_eq!(gx.dims(), x.dims());
         assert_eq!(gx.sum(), 8.0); // one unit per output element
     }
 
     #[test]
     fn avgpool_forward_backward() {
+        let mut ws = Workspace::new();
         let mut p = AvgPool2d::new(2, 2);
         let x = Tensor::ones(&[1, 1, 4, 4]);
-        let y = p.forward(&x, Mode::Train).unwrap();
+        let y = p.forward(&x, Mode::Train, &mut ws).unwrap();
         assert!(y.data().iter().all(|&v| (v - 1.0).abs() < 1e-6));
-        let gx = p.backward(&Tensor::ones(y.dims())).unwrap();
+        let gx = p.backward(&Tensor::ones(y.dims()), &mut ws).unwrap();
         assert!((gx.sum() - 4.0).abs() < 1e-5);
     }
 
     #[test]
     fn backward_before_forward_errors() {
+        let mut ws = Workspace::new();
         let mut p = MaxPool2d::new(2, 2);
-        assert!(p.backward(&Tensor::zeros(&[1, 1, 2, 2])).is_err());
+        assert!(p.backward(&Tensor::zeros(&[1, 1, 2, 2]), &mut ws).is_err());
         let mut a = AvgPool2d::new(2, 2);
-        assert!(a.backward(&Tensor::zeros(&[1, 1, 2, 2])).is_err());
+        assert!(a.backward(&Tensor::zeros(&[1, 1, 2, 2]), &mut ws).is_err());
     }
 
     #[test]

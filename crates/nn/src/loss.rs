@@ -11,7 +11,7 @@
 
 use crate::{NnError, Result};
 use gsfl_tensor::simd::{self, Isa};
-use gsfl_tensor::{Dispatch, Tensor};
+use gsfl_tensor::Tensor;
 
 /// Output of a loss computation: the scalar loss and the gradient with
 /// respect to the logits, ready to feed into `Sequential::backward`.
@@ -59,11 +59,7 @@ impl SoftmaxCrossEntropy {
     /// Returns [`NnError::LabelMismatch`] / [`NnError::LabelOutOfRange`] on
     /// malformed labels, or a shape error for non-2-D logits.
     pub fn compute(&self, logits: &Tensor, labels: &[usize]) -> Result<LossOutput> {
-        let d = gsfl_tensor::dispatch();
-        if d == Dispatch::Reference {
-            return self.compute_unfused(logits, labels);
-        }
-        self.compute_with_isa(d.isa(), logits, labels)
+        self.compute_with_isa(simd::active_isa(), logits, labels)
     }
 
     /// Fused forward/backward pinned to an explicit ISA tier (benchmark
@@ -119,8 +115,8 @@ impl SoftmaxCrossEntropy {
     }
 
     /// The historical two-pass kernel (recompute the exponentials for
-    /// the gradient), preserved as the reference tier and benchmark
-    /// baseline.
+    /// the gradient), preserved as the test oracle and benchmark
+    /// baseline of the fused kernel. No production path calls it.
     #[doc(hidden)]
     pub fn compute_unfused(&self, logits: &Tensor, labels: &[usize]) -> Result<LossOutput> {
         let (n, c) = logits.shape().as_matrix().map_err(NnError::from)?;

@@ -144,9 +144,6 @@ impl Sgd {
                 .map(|p| Tensor::zeros(p.value().dims()))
                 .collect();
         }
-        if gsfl_tensor::kernel_mode() == gsfl_tensor::KernelMode::Reference {
-            return self.step_legacy(params, lr);
-        }
         for (i, p) in params.iter_mut().enumerate() {
             let (value, grad) = p.value_and_grad_mut();
             if self.weight_decay != 0.0 {
@@ -185,31 +182,6 @@ impl Sgd {
         }
         Ok(())
     }
-
-    /// The pre-optimization update, preserved verbatim (clones per step)
-    /// so [`gsfl_tensor::KernelMode::Reference`] reconstructs the old
-    /// engine's cost for benchmark baselines. Computes the same values
-    /// as [`Sgd::step`].
-    fn step_legacy(&mut self, params: &mut [&mut Parameter], lr: f32) -> Result<()> {
-        for (i, p) in params.iter_mut().enumerate() {
-            if self.weight_decay != 0.0 {
-                let wd_term = p.value().scale(self.weight_decay);
-                p.grad_mut().add_assign_t(&wd_term)?;
-            }
-            if self.momentum != 0.0 {
-                let v = &mut self.velocities[i];
-                v.scale_assign(self.momentum);
-                let grad = p.grad().clone();
-                v.add_assign_t(&grad)?;
-                let v_snapshot = v.clone();
-                p.value_mut().axpy(-lr, &v_snapshot)?;
-            } else {
-                let grad = p.grad().clone();
-                p.value_mut().axpy(-lr, &grad)?;
-            }
-        }
-        Ok(())
-    }
 }
 
 #[cfg(test)]
@@ -222,6 +194,83 @@ mod tests {
         let g = p.value().scale(2.0);
         *p.grad_mut() = g;
         p
+    }
+
+    /// The pre-optimization update, preserved verbatim (clones per
+    /// step): the oracle [`Sgd::step`]'s in-place update must reproduce.
+    fn legacy_step(
+        params: &mut [&mut Parameter],
+        velocities: &mut [Tensor],
+        lr: f32,
+        momentum: f32,
+        weight_decay: f32,
+    ) {
+        for (i, p) in params.iter_mut().enumerate() {
+            if weight_decay != 0.0 {
+                let wd_term = p.value().scale(weight_decay);
+                p.grad_mut().add_assign_t(&wd_term).unwrap();
+            }
+            if momentum != 0.0 {
+                let v = &mut velocities[i];
+                v.scale_assign(momentum);
+                let grad = p.grad().clone();
+                v.add_assign_t(&grad).unwrap();
+                let v_snapshot = v.clone();
+                p.value_mut().axpy(-lr, &v_snapshot).unwrap();
+            } else {
+                let grad = p.grad().clone();
+                p.value_mut().axpy(-lr, &grad).unwrap();
+            }
+        }
+    }
+
+    #[test]
+    fn step_is_bit_identical_to_the_legacy_update() {
+        let shapes: [&[usize]; 3] = [&[3, 5], &[5], &[2, 2, 3, 3]];
+        let init = |salt: usize| -> Vec<Parameter> {
+            shapes
+                .iter()
+                .enumerate()
+                .map(|(k, dims)| {
+                    Parameter::new(Tensor::from_fn(dims, |i| {
+                        ((i * 7 + k * 13 + salt) % 23) as f32 * 0.037 - 0.4
+                    }))
+                })
+                .collect()
+        };
+        for (momentum, weight_decay) in [(0.9, 5e-4), (0.0, 1e-3), (0.5, 0.0), (0.0, 0.0)] {
+            let mut fast = init(0);
+            let mut legacy = init(0);
+            let mut opt = Sgd::new(0.05)
+                .with_momentum(momentum)
+                .with_weight_decay(weight_decay);
+            let mut velocities: Vec<Tensor> = if momentum != 0.0 {
+                shapes.iter().map(|d| Tensor::zeros(d)).collect()
+            } else {
+                Vec::new()
+            };
+            for step in 0..6 {
+                for (pf, pl) in fast.iter_mut().zip(legacy.iter_mut()) {
+                    let g = Tensor::from_fn(pf.value().dims(), |i| {
+                        ((i * 11 + step * 5) % 17) as f32 * 0.021 - 0.15
+                    });
+                    *pf.grad_mut() = g.clone();
+                    *pl.grad_mut() = g;
+                }
+                let mut views: Vec<&mut Parameter> = fast.iter_mut().collect();
+                opt.step(&mut views).unwrap();
+                let mut views: Vec<&mut Parameter> = legacy.iter_mut().collect();
+                legacy_step(&mut views, &mut velocities, 0.05, momentum, weight_decay);
+                for (pf, pl) in fast.iter().zip(&legacy) {
+                    assert_eq!(
+                        pf.value().data(),
+                        pl.value().data(),
+                        "momentum {momentum}, wd {weight_decay}, step {step}"
+                    );
+                    assert_eq!(pf.grad().data(), pl.grad().data());
+                }
+            }
+        }
     }
 
     #[test]

@@ -118,20 +118,11 @@ impl Sequential {
     /// Propagates the first layer error (usually a shape mismatch).
     pub fn forward(&mut self, input: &Tensor) -> Result<Tensor> {
         let mode = self.mode;
-        if gsfl_tensor::kernel_mode() == gsfl_tensor::KernelMode::Reference {
-            // Faithful pre-optimization engine for benchmark baselines:
-            // clone-per-layer, no buffer recycling.
-            let mut x = input.clone();
-            for layer in &mut self.layers {
-                x = layer.forward(&x, mode)?;
-            }
-            return Ok(x);
-        }
         let mut x: Option<Tensor> = None;
         for layer in &mut self.layers {
             let y = match &x {
-                Some(t) => layer.forward_ws(t, mode, &mut self.ws)?,
-                None => layer.forward_ws(input, mode, &mut self.ws)?,
+                Some(t) => layer.forward(t, mode, &mut self.ws)?,
+                None => layer.forward(input, mode, &mut self.ws)?,
             };
             if let Some(consumed) = x.take() {
                 self.ws.recycle(consumed);
@@ -153,18 +144,11 @@ impl Sequential {
     /// Returns [`NnError::BackwardBeforeForward`] if a layer has no cached
     /// activation (i.e. `forward` was not run in [`Mode::Train`]).
     pub fn backward(&mut self, grad_out: &Tensor) -> Result<Tensor> {
-        if gsfl_tensor::kernel_mode() == gsfl_tensor::KernelMode::Reference {
-            let mut g = grad_out.clone();
-            for layer in self.layers.iter_mut().rev() {
-                g = layer.backward(&g)?;
-            }
-            return Ok(g);
-        }
         let mut g: Option<Tensor> = None;
         for layer in self.layers.iter_mut().rev() {
             let next = match &g {
-                Some(t) => layer.backward_ws(t, &mut self.ws)?,
-                None => layer.backward_ws(grad_out, &mut self.ws)?,
+                Some(t) => layer.backward(t, &mut self.ws)?,
+                None => layer.backward(grad_out, &mut self.ws)?,
             };
             if let Some(consumed) = g.take() {
                 self.ws.recycle(consumed);
@@ -180,7 +164,7 @@ impl Sequential {
     /// [`Sequential::backward`] for callers that do not consume the
     /// network's input gradient — i.e. every training loop, where the
     /// gradient below the first layer is dead. The first layer only
-    /// accumulates its parameter gradients ([`Layer::backward_ws_last`]),
+    /// accumulates its parameter gradients ([`Layer::backward_last`]),
     /// skipping an entire GEMM (+ col2im for convolutions) per step.
     /// Parameter gradients are identical to [`Sequential::backward`].
     ///
@@ -188,21 +172,14 @@ impl Sequential {
     ///
     /// Same conditions as [`Sequential::backward`].
     pub fn backward_no_input_grad(&mut self, grad_out: &Tensor) -> Result<()> {
-        if gsfl_tensor::kernel_mode() == gsfl_tensor::KernelMode::Reference {
-            // The pre-optimization engine always computed the dead
-            // gradient; keep the baseline faithful.
-            let g = self.backward(grad_out)?;
-            drop(g);
-            return Ok(());
-        }
         let Some((first, rest)) = self.layers.split_first_mut() else {
             return Ok(());
         };
         let mut g: Option<Tensor> = None;
         for layer in rest.iter_mut().rev() {
             let next = match &g {
-                Some(t) => layer.backward_ws(t, &mut self.ws)?,
-                None => layer.backward_ws(grad_out, &mut self.ws)?,
+                Some(t) => layer.backward(t, &mut self.ws)?,
+                None => layer.backward(grad_out, &mut self.ws)?,
             };
             if let Some(consumed) = g.take() {
                 self.ws.recycle(consumed);
@@ -210,8 +187,8 @@ impl Sequential {
             g = Some(next);
         }
         match &g {
-            Some(t) => first.backward_ws_last(t, &mut self.ws)?,
-            None => first.backward_ws_last(grad_out, &mut self.ws)?,
+            Some(t) => first.backward_last(t, &mut self.ws)?,
+            None => first.backward_last(grad_out, &mut self.ws)?,
         }
         if let Some(consumed) = g.take() {
             self.ws.recycle(consumed);

@@ -1,11 +1,12 @@
 //! Property-based tests for the neural-network stack.
 
-use gsfl_nn::layers::{Dense, Relu};
+use gsfl_nn::layer::{Layer, Mode};
+use gsfl_nn::layers::{Conv2d, Dense, Relu};
 use gsfl_nn::loss::SoftmaxCrossEntropy;
 use gsfl_nn::params::{fed_avg, ParamVec};
 use gsfl_nn::split::SplitNetwork;
 use gsfl_nn::Sequential;
-use gsfl_tensor::Tensor;
+use gsfl_tensor::{reference, Tensor, Workspace};
 use proptest::prelude::*;
 
 fn mlp(input: usize, hidden: usize, classes: usize, seed: u64) -> Sequential {
@@ -325,6 +326,114 @@ proptest! {
             prop_assert_eq!(fused.loss.to_bits(), unfused.loss.to_bits());
             for (x, y) in fused.grad_logits.data().iter().zip(unfused.grad_logits.data()) {
                 prop_assert_eq!(x.to_bits(), y.to_bits());
+            }
+        }
+    }
+}
+
+fn assert_bits_eq(got: &Tensor, want: &Tensor, what: &str) {
+    assert_eq!(got.dims(), want.dims(), "{what}: dims");
+    for (i, (g, w)) in got.data().iter().zip(want.data()).enumerate() {
+        assert_eq!(g.to_bits(), w.to_bits(), "{what}[{i}]: {g} vs {w}");
+    }
+}
+
+// The training layers against the preserved pre-optimization kernels in
+// `gsfl_tensor::reference`, the oracle no production path dispatches to.
+// Dense keeps every element's ascending-k reduction, so its forward and
+// all gradients are bit-identical. Conv2d trains through the cached batch
+// lowering (`cols`): its output, input gradient and bias gradient keep the
+// reference's per-sample order and are bit-identical; the batched
+// weight-gradient GEMM sums the whole batch in one stream, which regroups
+// the f32 additions, so that gradient is pinned within 1e-4 (relative to
+// magnitudes above 1). Two steps per case exercise the cache refresh.
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    #[test]
+    fn dense_training_path_is_bit_identical_to_reference_kernels(
+        n in 1usize..9,
+        fan_in in 1usize..24,
+        fan_out in 1usize..20,
+        seed in 0u64..1_000,
+    ) {
+        let mut ws = Workspace::new();
+        let mut dense = Dense::new(fan_in, fan_out, seed);
+        for step in 0..2usize {
+            dense.zero_grad();
+            let x = Tensor::from_fn(&[n, fan_in], |i| {
+                ((i * 37 + step * 11 + seed as usize) % 29) as f32 * 0.07 - 1.0
+            });
+            let y = dense.forward(&x, Mode::Train, &mut ws).unwrap();
+            let weight = dense.params()[0].value().clone();
+            let bias = dense.params()[1].value().clone();
+            let mut expect = reference::matmul_a_bt(&x, &weight).unwrap();
+            for row in expect.data_mut().chunks_exact_mut(fan_out) {
+                for (v, &b) in row.iter_mut().zip(bias.data()) {
+                    *v += b;
+                }
+            }
+            assert_bits_eq(&y, &expect, "dense forward");
+
+            let g = Tensor::from_fn(y.dims(), |i| ((i * 13 + step) % 19) as f32 * 0.05 - 0.45);
+            let gx = dense.backward(&g, &mut ws).unwrap();
+            assert_bits_eq(&gx, &reference::matmul(&g, &weight).unwrap(), "dense grad input");
+            let gw = reference::matmul_at_b(&g, &x).unwrap();
+            assert_bits_eq(dense.params()[0].grad(), &gw, "dense grad weight");
+            let mut gb = vec![0.0f32; fan_out];
+            for row in g.data().chunks_exact(fan_out) {
+                for (d, &v) in gb.iter_mut().zip(row) {
+                    *d += v;
+                }
+            }
+            assert_bits_eq(dense.params()[1].grad(), &Tensor::from_vec(gb, &[fan_out]).unwrap(), "dense grad bias");
+        }
+    }
+
+    #[test]
+    fn conv2d_training_path_matches_reference_kernels(
+        n in 1usize..4,
+        c_in in 1usize..4,
+        c_out in 1usize..6,
+        hw in 3usize..10,
+        k in 1usize..4,
+        stride in 1usize..3,
+        pad in 0usize..2,
+        seed in 0u64..1_000,
+    ) {
+        let mut ws = Workspace::new();
+        let mut conv = Conv2d::new(c_in, c_out, k, stride, pad, seed);
+        let mut last = Conv2d::new(c_in, c_out, k, stride, pad, seed);
+        for step in 0..2usize {
+            conv.zero_grad();
+            last.zero_grad();
+            let x = Tensor::from_fn(&[n, c_in, hw, hw], |i| {
+                ((i * 31 + step * 7 + seed as usize) % 23) as f32 * 0.09 - 1.0
+            });
+            let y = conv.forward(&x, Mode::Train, &mut ws).unwrap();
+            let weight = conv.params()[0].value().clone();
+            let bias = conv.params()[1].value().clone();
+            let expect = reference::conv2d_forward(&x, &weight, &bias, stride, pad).unwrap();
+            assert_bits_eq(&y, &expect, "conv forward");
+
+            let g = Tensor::from_fn(y.dims(), |i| ((i * 17 + step) % 13) as f32 * 0.08 - 0.5);
+            let gx = conv.backward(&g, &mut ws).unwrap();
+            let (rx, rw, rb) = reference::conv2d_backward(&x, &weight, &g, stride, pad).unwrap();
+            assert_bits_eq(&gx, &rx, "conv grad input");
+            assert_bits_eq(conv.params()[1].grad(), &rb, "conv grad bias");
+            let gw = conv.params()[0].grad();
+            prop_assert_eq!(gw.dims(), rw.dims());
+            for (a, b) in gw.data().iter().zip(rw.data()) {
+                prop_assert!((a - b).abs() <= 1e-4 * b.abs().max(1.0), "conv grad weight {} vs {}", a, b);
+            }
+
+            // The first-layer backward skips the input gradient but must
+            // leave exactly the same parameter gradients.
+            let y_last = last.forward(&x, Mode::Train, &mut ws).unwrap();
+            assert_bits_eq(&y_last, &y, "conv forward (second layer copy)");
+            last.backward_last(&g, &mut ws).unwrap();
+            for (p_full, p_last) in conv.params().iter().zip(last.params()) {
+                assert_bits_eq(p_last.grad(), p_full.grad(), "conv backward_last grads");
             }
         }
     }

@@ -3,8 +3,8 @@
 //! The forward pass lowers the **entire batch** to one
 //! `[c·k_h·k_w, n·out_h·out_w]` column matrix and reduces convolution to a
 //! single GEMM (the historical per-sample lowering survives as
-//! [`crate::reference::conv2d_forward`] for the equivalence tests and the
-//! benchmark baseline). The backward pass reuses the same lowering: one
+//! [`crate::reference::conv2d_forward`], the equivalence-test oracle and
+//! kernel perf baseline; no production path dispatches to it). The backward pass reuses the same lowering: one
 //! GEMM for the weight gradient, one for the column gradient, then a
 //! batched col2im scatter. All scratch comes from a [`Workspace`], so the
 //! steady-state hot path performs no heap allocation.
@@ -16,9 +16,8 @@
 //! per-sample-then-add, which regroups the f32 additions (equal within
 //! epsilon, not within bits — asserted by the property tests).
 
-use crate::kernel::{dispatch, Dispatch};
 use crate::matmul::{gemm_a_bt_into, gemm_into, transpose_into};
-use crate::simd::Isa;
+use crate::simd::{active_isa, Isa};
 use crate::workspace::Workspace;
 use crate::{Result, Tensor, TensorError};
 
@@ -274,9 +273,6 @@ pub fn conv2d_forward_ws(
     pad: usize,
     ws: &mut Workspace,
 ) -> Result<Tensor> {
-    if dispatch() == Dispatch::Reference {
-        return crate::reference::conv2d_forward(input, weight, bias, stride, pad);
-    }
     let (out, cols) = conv2d_forward_ws_cols(input, weight, bias, stride, pad, ws)?;
     ws.recycle(cols);
     Ok(out)
@@ -298,7 +294,7 @@ pub fn conv2d_forward_ws_cols(
     pad: usize,
     ws: &mut Workspace,
 ) -> Result<(Tensor, Tensor)> {
-    let isa = dispatch().isa();
+    let isa = active_isa();
     let (n, c_in, h, w, c_out, k_h, k_w) = check_forward_shapes(input, weight, bias)?;
     let g = ConvGeom::new(h, w, k_h, k_w, stride, pad)?;
     let ckk = c_in * k_h * k_w;
@@ -367,9 +363,6 @@ pub fn conv2d_backward_ws(
     pad: usize,
     ws: &mut Workspace,
 ) -> Result<(Tensor, Tensor, Tensor)> {
-    if dispatch() == Dispatch::Reference {
-        return crate::reference::conv2d_backward(input, weight, grad_out, stride, pad);
-    }
     let (n, c_in, h, w) = input.shape().as_nchw()?;
     let (_, _, k_h, k_w) = weight.shape().as_nchw()?;
     let g = ConvGeom::new(h, w, k_h, k_w, stride, pad)?;
@@ -422,7 +415,7 @@ pub fn conv2d_backward_from_cols(
         });
     }
 
-    let isa = dispatch().isa();
+    let isa = active_isa();
     let (dy, grad_w, grad_b) = backward_params(isa, cols, grad_out, c_out, ckk, p, np, ws);
 
     // dX_cols = Wᵀ · dY (one GEMM), scattered back with batched col2im.
@@ -483,8 +476,7 @@ pub fn conv2d_backward_params_from_cols(
             op: "conv2d_backward(cols)",
         });
     }
-    let (dy, grad_w, grad_b) =
-        backward_params(dispatch().isa(), cols, grad_out, c_out, ckk, p, np, ws);
+    let (dy, grad_w, grad_b) = backward_params(active_isa(), cols, grad_out, c_out, ckk, p, np, ws);
     ws.recycle(dy);
     Ok((
         Tensor::from_vec(grad_w, &[c_out, c_in, k_h, k_w])?,

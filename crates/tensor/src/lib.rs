@@ -16,8 +16,8 @@
 //! * [`threading`] — the process-wide thread budget every parallel path
 //!   (GEMM rows, clients, groups, schemes) draws from,
 //! * [`reference`](mod@reference) — the preserved pre-optimization
-//!   kernels (test oracle and benchmark baseline), selectable at runtime
-//!   via [`kernel`],
+//!   kernels: test oracle and kernel perf baseline, never dispatched to
+//!   by a production path,
 //! * [`simd`] — runtime-dispatched SIMD lanes (AVX2/FMA/F16C with a
 //!   scalar fallback, `GSFL_SIMD` override) behind the compute and
 //!   codec hot paths,
@@ -55,7 +55,6 @@ mod tensor;
 pub mod conv;
 pub mod init;
 pub mod io;
-pub mod kernel;
 pub mod matmul;
 pub mod pool;
 pub mod quant;
@@ -67,7 +66,6 @@ pub mod wire;
 pub mod workspace;
 
 pub use error::TensorError;
-pub use kernel::{dispatch, kernel_mode, set_kernel_mode, Dispatch, KernelMode};
 pub use shape::Shape;
 pub use tensor::Tensor;
 pub use workspace::Workspace;

@@ -19,7 +19,8 @@
 //! `A` elements against unit-stride `B` row segments. Crucially, every
 //! output element still accumulates its products in ascending-`k` order,
 //! so results are **bit-identical** to the historical naive `i-k-j` loop
-//! ([`crate::reference::matmul`]) for all finite inputs — the golden
+//! ([`crate::reference::matmul`], kept as the test oracle and perf
+//! baseline) for all finite inputs — the golden
 //! fixtures and determinism suites keep passing while the kernel runs
 //! several times faster (C is written once instead of `k` times, and the
 //! dense-data-hostile `a == 0.0` branch is gone).
@@ -29,7 +30,6 @@
 //! never changes what is computed for any element, so the threaded path
 //! is bit-identical to the serial one regardless of thread count.
 
-use crate::kernel::{dispatch, Dispatch};
 use crate::simd::{self, Isa};
 use crate::threading::request_threads;
 use crate::workspace::Workspace;
@@ -159,7 +159,7 @@ fn gemm(isa: Isa, m: usize, k: usize, n: usize, a: &[f32], b: &[f32], out: &mut 
 
 /// Serial raw-slice GEMM pinned to an explicit ISA tier. Benchmark
 /// hook — the library's own entries resolve their tier via
-/// [`dispatch`](crate::kernel::dispatch) instead.
+/// [`simd::active_isa`] instead.
 #[doc(hidden)]
 pub fn gemm_with_isa(
     isa: Isa,
@@ -238,15 +238,12 @@ pub fn matmul(a: &Tensor, b: &Tensor) -> Result<Tensor> {
 ///
 /// Same conditions as [`matmul`].
 pub fn matmul_ws(a: &Tensor, b: &Tensor, ws: &mut Workspace) -> Result<Tensor> {
-    let d = dispatch();
-    if d == Dispatch::Reference {
-        return crate::reference::matmul(a, b);
-    }
+    let isa = simd::active_isa();
     let (m, k) = a.shape().as_matrix()?;
     let (k2, n) = b.shape().as_matrix()?;
     check_inner(k, k2)?;
     let mut out = ws.take(m * n);
-    gemm(d.isa(), m, k, n, a.data(), b.data(), &mut out);
+    gemm(isa, m, k, n, a.data(), b.data(), &mut out);
     Tensor::from_vec(out, &[m, n])
 }
 
@@ -271,17 +268,14 @@ pub fn matmul_at_b(a: &Tensor, b: &Tensor) -> Result<Tensor> {
 ///
 /// Same conditions as [`matmul_at_b`].
 pub fn matmul_at_b_ws(a: &Tensor, b: &Tensor, ws: &mut Workspace) -> Result<Tensor> {
-    let d = dispatch();
-    if d == Dispatch::Reference {
-        return crate::reference::matmul_at_b(a, b);
-    }
+    let isa = simd::active_isa();
     let (k, m) = a.shape().as_matrix()?;
     let (k2, n) = b.shape().as_matrix()?;
     check_inner(k, k2)?;
     let mut at = ws.take(m * k);
     transpose_into(a.data(), k, m, &mut at);
     let mut out = ws.take(m * n);
-    gemm(d.isa(), m, k, n, &at, b.data(), &mut out);
+    gemm(isa, m, k, n, &at, b.data(), &mut out);
     ws.give(at);
     Tensor::from_vec(out, &[m, n])
 }
@@ -308,17 +302,14 @@ pub fn matmul_a_bt(a: &Tensor, b: &Tensor) -> Result<Tensor> {
 ///
 /// Same conditions as [`matmul_a_bt`].
 pub fn matmul_a_bt_ws(a: &Tensor, b: &Tensor, ws: &mut Workspace) -> Result<Tensor> {
-    let d = dispatch();
-    if d == Dispatch::Reference {
-        return crate::reference::matmul_a_bt(a, b);
-    }
+    let isa = simd::active_isa();
     let (m, k) = a.shape().as_matrix()?;
     let (n, k2) = b.shape().as_matrix()?;
     check_inner(k, k2)?;
     let mut bt = ws.take(n * k);
     transpose_into(b.data(), n, k, &mut bt);
     let mut out = ws.take(m * n);
-    gemm(d.isa(), m, k, n, a.data(), &bt, &mut out);
+    gemm(isa, m, k, n, a.data(), &bt, &mut out);
     ws.give(bt);
     Tensor::from_vec(out, &[m, n])
 }
@@ -326,7 +317,7 @@ pub fn matmul_a_bt_ws(a: &Tensor, b: &Tensor, ws: &mut Workspace) -> Result<Tens
 /// Raw-slice GEMM for callers that manage their own layouts (the batched
 /// convolution lowering). `out` is fully overwritten. Same kernel — and
 /// therefore the same per-element reduction order — as [`matmul`]. The
-/// caller resolves the dispatch tier once at its own entry and passes
+/// caller resolves the ISA tier once at its own entry and passes
 /// the ISA down.
 pub(crate) fn gemm_into(
     isa: Isa,

@@ -18,7 +18,6 @@
 //!   threshold resolve by ascending index, so the kept set is
 //!   deterministic regardless of the selection algorithm.
 
-use crate::kernel::dispatch;
 use crate::rng::seeded_rng;
 use crate::simd::{self, Isa};
 use crate::workspace::Workspace;
@@ -106,7 +105,7 @@ pub fn f16_bits_to_f32(h: u16) -> f32 {
 /// exactly like the software converters, and NaN-carrying blocks fall
 /// back to software so payload canonicalization matches too.
 pub fn fp16_roundtrip(values: &mut [f32]) {
-    fp16_roundtrip_with_isa(dispatch().isa(), values);
+    fp16_roundtrip_with_isa(simd::active_isa(), values);
 }
 
 /// [`fp16_roundtrip`] pinned to an explicit ISA tier (benchmark and
@@ -134,7 +133,7 @@ pub fn fp16_roundtrip_with_isa(isa: Isa, values: &mut [f32]) {
 ///
 /// `bits` must be in `2..=16`; an all-zero slice is returned unchanged.
 pub fn intq_roundtrip(values: &mut [f32], bits: u32, stream: u64) {
-    intq_roundtrip_with_isa(dispatch().isa(), values, bits, stream);
+    intq_roundtrip_with_isa(simd::active_isa(), values, bits, stream);
 }
 
 /// [`intq_roundtrip`] pinned to an explicit ISA tier (benchmark and
@@ -192,7 +191,7 @@ pub fn intq_roundtrip_with_isa(isa: Isa, values: &mut [f32], bits: u32, stream: 
 /// rather than panicking mid-selection — the same degrade-to-identity
 /// behavior as [`intq_roundtrip`]'s non-finite-scale guard).
 pub fn topk_mask(values: &mut [f32], k: usize, ws: &mut Workspace) {
-    topk_mask_with_isa(dispatch().isa(), values, k, ws);
+    topk_mask_with_isa(simd::active_isa(), values, k, ws);
 }
 
 /// [`topk_mask`] pinned to an explicit ISA tier (benchmark and
@@ -267,7 +266,7 @@ pub fn topk_mask_with_isa(isa: Isa, values: &mut [f32], k: usize, ws: &mut Works
 /// allocate nothing). Requires `1 <= k`; `k >= values.len()` keeps
 /// every index.
 pub fn topk_indices(values: &[f32], k: usize, ws: &mut Workspace, out: &mut Vec<u32>) {
-    topk_indices_with_isa(dispatch().isa(), values, k, ws, out);
+    topk_indices_with_isa(simd::active_isa(), values, k, ws, out);
 }
 
 /// [`topk_indices`] pinned to an explicit ISA tier (benchmark and

@@ -3,15 +3,15 @@
 //! These are the original naive implementations the fast paths in
 //! [`crate::matmul`] and [`crate::conv`] replaced: the `i-k-j` GEMM with
 //! its zero-skip branch, the dot-product transposed variants, and the
-//! per-sample im2col convolution. They serve two purposes:
+//! per-sample im2col convolution. No production path dispatches to them;
+//! they serve two purposes:
 //!
-//! * **oracle** — equivalence property tests assert the fast kernels
-//!   reproduce these (bit-exactly where the reduction order is
-//!   preserved);
-//! * **baseline** — the `perf_suite` benchmark harness times them against
-//!   the fast kernels so the speedup stays measured, and
-//!   [`crate::kernel::KernelMode::Reference`] routes the public entry
-//!   points here to reconstruct pre-optimization end-to-end timings.
+//! * **test oracle** — equivalence property tests (tensor, SIMD and
+//!   layer level) assert the fast kernels reproduce these (bit-exactly
+//!   where the reduction order is preserved);
+//! * **kernel perf baseline** — the `perf_suite` benchmark harness times
+//!   them against the fast kernels in the same process, so the kernel
+//!   rows' speedups stay measured.
 
 use crate::conv::ConvGeom;
 use crate::{Result, Tensor, TensorError};

@@ -47,7 +47,6 @@
 //! steady-state encoding allocates nothing after warm-up.
 
 use crate::error::TensorError;
-use crate::kernel::dispatch;
 use crate::quant::{
     f16_bits_to_f32, f32_to_f16_bits, top_block_indices, topk_indices_with_isa, CODEC_BLOCK,
 };
@@ -432,7 +431,7 @@ pub fn f16_len(numel: usize) -> u64 {
 
 /// Encodes `values` as binary16 (round-to-nearest-even).
 pub fn encode_f16(values: &[f32], buf: &mut WireBuf) {
-    encode_f16_with_isa(dispatch().isa(), values, buf);
+    encode_f16_with_isa(simd::active_isa(), values, buf);
 }
 
 /// [`encode_f16`] pinned to an explicit ISA tier (benchmark and
@@ -459,7 +458,7 @@ pub fn encode_f16_with_isa(isa: Isa, values: &[f32], buf: &mut WireBuf) {
 ///
 /// [`TensorError::Wire`] naming the malformed field.
 pub fn decode_f16(buf: &WireBuf, out: &mut [f32]) -> Result<(), TensorError> {
-    decode_f16_with_isa(dispatch().isa(), buf, out)
+    decode_f16_with_isa(simd::active_isa(), buf, out)
 }
 
 /// [`decode_f16`] pinned to an explicit ISA tier (benchmark and
@@ -498,7 +497,7 @@ pub fn intq_len(numel: usize, bits: u32) -> u64 {
 /// codes; the decoder surfaces it as a NaN-filled tensor, keeping the
 /// divergence visible to the receiver. `bits` must be in `2..=16`.
 pub fn encode_intq(values: &[f32], bits: u32, stream: u64, buf: &mut WireBuf) {
-    encode_intq_with_isa(dispatch().isa(), values, bits, stream, buf);
+    encode_intq_with_isa(simd::active_isa(), values, bits, stream, buf);
 }
 
 /// [`encode_intq`] pinned to an explicit ISA tier (benchmark and
@@ -577,7 +576,7 @@ pub fn encode_intq_with_isa(isa: Isa, values: &[f32], bits: u32, stream: u64, bu
 ///
 /// [`TensorError::Wire`] naming the malformed field.
 pub fn decode_intq(buf: &WireBuf, out: &mut [f32]) -> Result<(), TensorError> {
-    decode_intq_with_isa(dispatch().isa(), buf, out)
+    decode_intq_with_isa(simd::active_isa(), buf, out)
 }
 
 /// [`decode_intq`] pinned to an explicit ISA tier (benchmark and
@@ -659,7 +658,7 @@ pub fn topk_len(numel: usize, k: usize) -> u64 {
 /// so a diverged tensor ships its non-finite entries verbatim instead
 /// of panicking mid-selection. `k` is clamped to `1..=numel`.
 pub fn encode_topk(values: &[f32], k: usize, ws: &mut Workspace, buf: &mut WireBuf) {
-    encode_topk_with_isa(dispatch().isa(), values, k, ws, buf);
+    encode_topk_with_isa(simd::active_isa(), values, k, ws, buf);
 }
 
 /// [`encode_topk`] pinned to an explicit ISA tier (benchmark and
